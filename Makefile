@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -short ./internal/... .
+	$(GO) test -race -short -cpu 1,2 ./internal/... .
 
 vet:
 	$(GO) vet ./...

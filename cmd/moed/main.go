@@ -34,10 +34,10 @@ func main() {
 	var (
 		listen          = flag.String("listen", ":7077", "address to serve on")
 		streamAddr      = flag.String("stream-addr", "", "TCP address for the raw wire streaming transport (empty = HTTP-only; POST /v1/stream upgrades either way)")
-		groupCommit     = flag.Duration("group-commit-window", 0, "with -checkpoint-sync, share journal fsyncs across batches inside this window (0 = fsync per batch; try 1ms)")
+		groupCommit     = flag.Duration("group-commit-window", 0, "with -checkpoint-sync, share each batch's journal fsync across tenants inside this window (0 = one fsync per batch at once; try 1ms)")
 		checkpointDir   = flag.String("checkpoint-dir", "", "root directory for per-tenant checkpoint lineages (empty = ephemeral tenants)")
 		checkpointEvery = flag.Int("checkpoint-every", serve.DefCheckpointEvery, "snapshot cadence in decisions per tenant")
-		checkpointSync  = flag.Bool("checkpoint-sync", false, "fsync every journal append (safer, slower)")
+		checkpointSync  = flag.Bool("checkpoint-sync", false, "make every acked batch durable: one journal fsync per committed batch, run alongside the replica ship; the ack waits for both (safer, slower)")
 		maxThreads      = flag.Int("max-threads", serve.DefMaxThreads, "machine thread cap for tenant runtimes")
 		maxTenants      = flag.Int("max-tenants", serve.DefMaxTenants, "tenant registry bound")
 		maxInflight     = flag.Int("max-inflight", serve.DefMaxInflight, "concurrent decision request bound (excess sheds 503)")

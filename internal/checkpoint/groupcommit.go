@@ -19,8 +19,9 @@ import (
 // Durability semantics are unchanged at the ack boundary: the serving
 // layer calls Store.Sync before acknowledging a batch, so commit-before-ack
 // holds exactly as it does with per-append fsync — the only thing that
-// moved is how many batches one fsync covers. A window of zero (or a nil
-// committer) degenerates to the plain per-append behavior.
+// moved is how many appends one fsync covers. A window of zero is the
+// pass-through committer: one fsync per Store.Sync, that is per committed
+// batch, with no parking. A store with no committer fsyncs per append.
 //
 // An fsync error fans out to every waiter whose batch shared it: each of
 // their tenants latches DiskError-degraded serving, the same path a
@@ -125,16 +126,6 @@ func (g *GroupCommitter) flushAfterWindow() {
 		}
 	}
 }
-
-// SetGroupCommitter attaches a group committer to the store: journal
-// appends stop fsyncing inline (they only mark the journal dirty) and
-// Sync becomes the batch commit point. Call before the first append;
-// nil detaches (per-append fsync resumes).
-//
-// With sync disabled on the store, the committer is inert — appends were
-// never fsynced and Sync stays a no-op — so callers can attach it
-// unconditionally and let Options decide.
-func (s *Store) SetGroupCommitter(g *GroupCommitter) { s.gc = g }
 
 // Sync is the batch commit point for group-committed stores: it makes every
 // append since the last Sync durable before returning. On a store without a

@@ -92,9 +92,11 @@ type Options struct {
 	// promotion, even if the replicated history had seen fewer runs.
 	MinRun int
 
-	// GroupCommit, when non-nil (and sync enabled), shares journal fsyncs
-	// across every store attached to the same committer: appends defer
-	// their fsync to the next Store.Sync, which is the batch commit point.
+	// GroupCommit, when non-nil (and sync enabled), takes over journal
+	// durability: appends defer their fsync to the next Store.Sync, the
+	// batch commit point, which shares one fsync across every store
+	// attached to the same committer inside its window. With DisableSync
+	// the committer is inert, so callers may attach it unconditionally.
 	GroupCommit *GroupCommitter
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"moe/internal/features"
 	"moe/internal/sim"
@@ -148,7 +149,10 @@ func TestMetricSamplerBaselineExcluded(t *testing.T) {
 	// so an idle process reported phantom load. The floor is calibrated at
 	// construction now; at rest both features must be (near) zero. Slack of
 	// 2 tolerates runtime goroutines that appear between calibration and
-	// sampling.
+	// sampling. Goroutines that earlier tests already released may still
+	// be counted until they are scheduled to exit — on one CPU that can be
+	// after calibration — so let them drain first.
+	settleGoroutines()
 	ms := NewMetricSampler()
 	env := ms.Sample(0)
 	if env.WorkloadThreads > 2 {
@@ -162,10 +166,12 @@ func TestMetricSamplerBaselineExcluded(t *testing.T) {
 	// workload and, in excess of the CPUs, as run queue.
 	const extra = 64
 	stop := make(chan struct{})
-	var started sync.WaitGroup
+	var started, exited sync.WaitGroup
 	started.Add(extra)
+	exited.Add(extra)
 	for i := 0; i < extra; i++ {
 		go func() {
+			defer exited.Done()
 			started.Done()
 			<-stop
 		}()
@@ -183,8 +189,23 @@ func TestMetricSamplerBaselineExcluded(t *testing.T) {
 	// The caller's own workers are excluded from f4 on top of the floor.
 	env = ms.Sample(extra)
 	close(stop)
+	exited.Wait()
 	if env.WorkloadThreads > 2 {
 		t.Errorf("own workers not excluded: %v", env.WorkloadThreads)
+	}
+}
+
+// settleGoroutines yields until the goroutine count holds still, so
+// goroutines that are done but not yet scheduled out stop being counted.
+func settleGoroutines() {
+	prev, stable := runtime.NumGoroutine(), 0
+	for i := 0; i < 1000 && stable < 10; i++ {
+		time.Sleep(100 * time.Microsecond)
+		if n := runtime.NumGoroutine(); n == prev {
+			stable++
+		} else {
+			prev, stable = n, 0
+		}
 	}
 }
 

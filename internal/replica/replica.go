@@ -6,15 +6,16 @@
 //
 // The design leans entirely on the byte-identity discipline of
 // internal/checkpoint: what ships is the exact CRC-framed bytes the
-// primary made durable (checkpoint.Shipment), the standby re-validates
+// primary journals (checkpoint.Shipment), the standby re-validates
 // every frame with the same machinery recovery uses, and a promoted
 // standby therefore replays to exactly the state the primary would have
 // recovered to itself. Correctness of failover reduces to correctness of
 // crash recovery, which PR 3's matrices already pin.
 //
 // Grouping and ordering. The primary buffers shipments per tenant and
-// flushes a whole batch's worth as one HTTP POST after the batch commits
-// locally and before the client is acked (Primary.Flush). The standby
+// flushes a whole batch's worth as one HTTP POST before the client is acked
+// (Primary.Flush); the serving layer runs that flush alongside the batch's
+// local journal fsync and acks only when both are done. The standby
 // applies a group atomically-in-order: any defect or gap rejects the whole
 // group with no partial apply of the remainder. A rejected or lost flush
 // leaves the standby one group behind; the next flush detects the gap

@@ -131,6 +131,9 @@ func goldenSchedule(tenants []string, perTenant int) []step {
 //     replication group was lost with it (and so was the ack). The retry
 //     re-executes on the standby's state and must produce the identical
 //     threads, because the standby holds exactly the pre-k state.
+//
+// The sync/ subtests rerun the whole matrix on a pair with CheckpointSync
+// on, where every ack waits for the journal fsync and the ship together.
 func TestKillMatrixByteIdentity(t *testing.T) {
 	tenants := []string{"alpha", "beta"}
 	const perTenant = 8
@@ -145,18 +148,27 @@ func TestKillMatrixByteIdentity(t *testing.T) {
 	if testing.Short() {
 		stride = 5
 	}
-	for _, variant := range []string{"clean", "acked-lost", "unshipped"} {
-		for k := 0; k < len(steps); k += stride {
-			t.Run(fmt.Sprintf("%s/k=%d", variant, k), func(t *testing.T) {
-				runKillScenario(t, variant, k, steps, streams, solo)
-			})
+	matrix := func(t *testing.T, mutate func(prim, sb *Config)) {
+		for _, variant := range []string{"clean", "acked-lost", "unshipped"} {
+			for k := 0; k < len(steps); k += stride {
+				t.Run(fmt.Sprintf("%s/k=%d", variant, k), func(t *testing.T) {
+					runKillScenario(t, variant, k, steps, streams, solo, mutate)
+				})
+			}
 		}
 	}
+	matrix(t, nil)
+	t.Run("sync", func(t *testing.T) {
+		matrix(t, func(prim, sb *Config) {
+			prim.CheckpointSync = true
+			sb.CheckpointSync = true
+		})
+	})
 }
 
 func runKillScenario(t *testing.T, variant string, killAt int, steps []step,
-	streams map[string][]moe.Observation, solo map[string][]int) {
-	pair := newFailoverPair(t, 4, nil)
+	streams map[string][]moe.Observation, solo map[string][]int, mutate func(prim, sb *Config)) {
+	pair := newFailoverPair(t, 4, mutate)
 	acked := make(map[string][]int)
 	url := pair.primTS.URL
 	killed := false

@@ -61,14 +61,16 @@ type Config struct {
 	// CheckpointEvery is the snapshot cadence in decisions (0 = journal
 	// only).
 	CheckpointEvery int
-	// CheckpointSync fsyncs every journal append. Off by default: the
-	// daemon trades the journal tail in the page cache for serving
-	// throughput; snapshots stay atomic and fsynced either way.
+	// CheckpointSync makes every acked batch durable in the journal: one
+	// fsync per committed batch, which the replica ship runs alongside; the
+	// ack waits for both. Off by default: the daemon trades the journal
+	// tail in the page cache for serving throughput; snapshots stay atomic
+	// and fsynced either way.
 	CheckpointSync bool
-	// GroupCommitWindow, with CheckpointSync on, amortizes journal fsyncs:
-	// appends defer the fsync and every batch commits through one shared
-	// fsync per flush window (commit-before-ack unchanged — the sync still
-	// happens before any ack leaves). Zero keeps per-append fsync.
+	// GroupCommitWindow, with CheckpointSync on, shares the per-batch fsync
+	// across tenants: a commit parks for at most the window and one fsync
+	// per dirty journal covers every batch that arrived inside it. The ack
+	// still waits for it. Zero fsyncs each batch at once.
 	GroupCommitWindow time.Duration
 
 	// MaxTenants bounds the registry; creation past it sheds with 503.

@@ -36,8 +36,9 @@ type Server struct {
 	stream  streamMetrics
 	jit     *jitter
 
-	// gcommit amortizes journal fsyncs across tenants when GroupCommitWindow
-	// is set (nil otherwise; stores then fsync per append as before).
+	// gcommit is every tenant store's journal committer: one fsync per
+	// committed batch, shared across tenants inside GroupCommitWindow
+	// (inert when CheckpointSync is off).
 	gcommit *checkpoint.GroupCommitter
 
 	// Streaming transport state: registered listeners (ServeStream) and open
@@ -93,10 +94,8 @@ func NewServer(cfg Config) (*Server, error) {
 	s.reg.SetSeriesLimit(cfg.MaxTenantSeries, "serve_labels_dropped_total")
 	s.metrics.init(s.reg)
 	s.stream.init(s.reg)
-	if cfg.CheckpointSync && cfg.GroupCommitWindow > 0 {
-		s.gcommit = checkpoint.NewGroupCommitter(cfg.GroupCommitWindow)
-		s.gcommit.SetMetrics(s.stream.gcFsyncs, s.stream.gcSaved)
-	}
+	s.gcommit = checkpoint.NewGroupCommitter(cfg.GroupCommitWindow)
+	s.gcommit.SetMetrics(s.stream.gcFsyncs, s.stream.gcSaved)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/decide", s.handleDecide)
 	s.mux.HandleFunc("/v1/stream", s.handleStream)
@@ -123,12 +122,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // breaker counts from it).
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// GroupCommitStats reports journal fsyncs issued and saved by the group
-// committer; zeros when group commit is off.
+// GroupCommitStats reports journal fsyncs issued by batch commits (JSON and
+// stream alike) and those saved by sharing; zeros when CheckpointSync is off.
 func (s *Server) GroupCommitStats() (fsyncs, saved int64) {
-	if s.gcommit == nil {
-		return 0, 0
-	}
 	return s.gcommit.Stats()
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"moe"
 	"moe/internal/checkpoint"
-	"moe/internal/replica"
 	"moe/internal/telemetry"
 	"moe/internal/wire"
 )
@@ -64,7 +63,7 @@ func (m *streamMetrics) init(reg *telemetry.Registry) {
 	m.demotions = reg.Counter("serve_stream_demotions_total",
 		"Stream sessions demoted to the JSON ladder at handshake.")
 	m.gcFsyncs = reg.Counter("serve_stream_group_commit_fsyncs_total",
-		"Journal fsyncs issued by the group committer.")
+		"Journal fsyncs issued by batch commits, JSON and stream alike.")
 	m.gcSaved = reg.Counter("serve_stream_group_commit_fsyncs_saved_total",
 		"Journal fsyncs avoided by group commit (vs per-append fsync).")
 }
@@ -625,19 +624,13 @@ func failGroup(group []*streamReq, e *apiError) {
 }
 
 // commitStreamGroup is commitBatch for a coalesced group: per-member dedup
-// markers journaled behind the merged batch's entries, one group-commit
-// sync, one replica flush — all before any member's ack can be written.
-// Per-member decision counts and thread sub-slices fall out of prefix sums
-// over the merged result (DecideBatch answers one decision per observation,
-// in order).
+// markers journaled behind the merged batch's entries, then one commit for
+// the whole group — before any member's ack can be written. Per-member
+// decision counts and thread sub-slices fall out of prefix sums over the
+// merged result (DecideBatch answers one decision per observation, in
+// order).
 func (s *Server) commitStreamGroup(t *tenant, core *tenantCore, exec []*streamReq, res *decideResult) {
-	if res.panicked != "" {
-		return
-	}
-	t.mu.Lock()
-	current := t.core == core
-	t.mu.Unlock()
-	if !current {
+	if res.panicked != "" || !t.serves(core) {
 		return
 	}
 	cerr := core.rt.CheckpointErr()
@@ -649,49 +642,11 @@ func (s *Server) commitStreamGroup(t *tenant, core *tenantCore, exec []*streamRe
 		count += int64(len(r.obs))
 		r.decisions = count
 		r.threads = sub
-		if r.reqID == "" {
-			continue
-		}
-		entry := checkpoint.DedupEntry{ID: r.reqID, Decisions: int(count), Threads: sub}
-		if core.store != nil && cerr == nil {
-			if err := core.store.AppendDedup(entry); err != nil {
-				s.logf("serve: tenant %s: journal dedup marker: %v", t.id, err)
-				cerr = err
-			}
-		}
-		t.mu.Lock()
-		if t.core == core {
-			t.dedup.add(entry)
-		}
-		t.mu.Unlock()
-	}
-	// The group commit point: everything this group journaled becomes
-	// durable in one shared fsync before any ack leaves.
-	if core.store != nil && cerr == nil {
-		if err := core.store.Sync(); err != nil {
-			s.logf("serve: tenant %s: group commit sync: %v", t.id, err)
-			cerr = err
+		if r.reqID != "" {
+			cerr = s.markDedup(t, core, checkpoint.DedupEntry{ID: r.reqID, Decisions: int(count), Threads: sub}, cerr)
 		}
 	}
-	if s.primary != nil {
-		if err := s.primary.Flush(t.id); err != nil {
-			if errors.Is(err, replica.ErrDeposed) {
-				res.deposed = true
-			}
-			s.logf("serve: tenant %s: replication flush: %v", t.id, err)
-		}
-	}
-	if core.store != nil && cerr != nil && checkpoint.IsDiskError(cerr) {
-		t.mu.Lock()
-		latch := t.core == core && t.degraded == ""
-		if latch {
-			t.setDegradedLocked(cerr.Error())
-		}
-		t.mu.Unlock()
-		if latch {
-			s.logf("serve: tenant %s: journal failed mid-batch, serving journal-less: %v", t.id, cerr)
-		}
-	}
+	s.commit(t, core, cerr, res)
 }
 
 // fillStreamGroup answers every member after the commit: results for the

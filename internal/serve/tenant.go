@@ -254,7 +254,13 @@ func (s *Server) buildCore(t *tenant, gen int) (core *tenantCore, degraded strin
 	t.mu.Lock()
 	t.dedup.load(dedups)
 	t.mu.Unlock()
-	if err := core.rt.AttachStore(store, s.cfg.CheckpointEvery); err != nil {
+	err = core.rt.AttachStore(store, s.cfg.CheckpointEvery)
+	if err == nil {
+		// Commit the attach rotation's fresh epoch (the recovered dedup
+		// window) before the first request can be answered from it.
+		err = store.Sync()
+	}
+	if err != nil {
 		// The attach snapshot could not be written (full disk) or the
 		// policy is not capturable: the tenant still serves, journal-less.
 		store.Close()
@@ -275,12 +281,15 @@ func (s *Server) buildCore(t *tenant, gen int) (core *tenantCore, degraded strin
 // storeOptions is how every tenant store is opened: the configured sync
 // policy, with run numbers floored at the promotion term so a promoted
 // standby's new lineages always supersede anything the deposed primary
-// managed to write before it was fenced.
+// managed to write before it was fenced. Every store shares the server's
+// group committer, so with sync on an append never fsyncs: Store.Sync in
+// commit is one fsync per committed batch, and the window shares it
+// across tenants.
 func (s *Server) storeOptions() checkpoint.Options {
 	return checkpoint.Options{
 		DisableSync: !s.cfg.CheckpointSync,
 		MinRun:      int(s.promoted.Load()),
-		GroupCommit: s.gcommit, // nil = per-append fsync as before
+		GroupCommit: s.gcommit,
 	}
 }
 
@@ -345,55 +354,77 @@ func (s *Server) boundedResume(t *tenant, rt *moe.Runtime, store *checkpoint.Sto
 }
 
 // commitBatch runs in the decide goroutine after a successful batch, before
-// the handler is released: the commit point for exactly-once semantics. For
-// an identified request it journals the dedup marker behind the batch's own
-// entries and admits it to the in-memory window; with replication on, it
-// flushes the tenant's shipment group so the standby holds everything this
-// ack promises before the client can see the ack (flush failure is absorbed
-// — semi-synchronous — and surfaces as replica lag, not a client error).
-// It is also where a journal write failure mid-batch latches the tenant
-// degraded: acked decisions are never lost — they live in memory and in the
-// shipped stream — but the local journal has stopped.
+// the handler is released. For an identified request it journals the dedup
+// marker behind the batch's own entries and admits it to the in-memory
+// window; then the batch commits.
 func (s *Server) commitBatch(t *tenant, core *tenantCore, reqID string, res *decideResult) {
-	if res.panicked != "" {
+	if res.panicked != "" || !t.serves(core) {
 		return
-	}
-	t.mu.Lock()
-	current := t.core == core
-	t.mu.Unlock()
-	if !current {
-		return
-	}
-	entry := checkpoint.DedupEntry{
-		ID:        reqID,
-		Decisions: int(res.decisions),
-		Threads:   res.threads,
 	}
 	cerr := core.rt.CheckpointErr()
 	if reqID != "" {
-		if core.store != nil && cerr == nil {
-			if err := core.store.AppendDedup(entry); err != nil {
-				s.logf("serve: tenant %s: journal dedup marker: %v", t.id, err)
-				cerr = err
-			}
-		}
-		t.mu.Lock()
-		if t.core == core {
-			t.dedup.add(entry)
-		}
-		t.mu.Unlock()
+		cerr = s.markDedup(t, core, checkpoint.DedupEntry{
+			ID:        reqID,
+			Decisions: int(res.decisions),
+			Threads:   res.threads,
+		}, cerr)
 	}
-	// With group commit attached, appends deferred their fsync; this Sync is
-	// the commit point that makes the batch (and its marker) durable before
-	// the ack. Without a committer it is a no-op.
+	s.commit(t, core, cerr, res)
+}
+
+// serves reports whether core is still the tenant's serving generation.
+func (t *tenant) serves(core *tenantCore) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.core == core
+}
+
+// markDedup journals one identified request's dedup marker (unless the
+// journal has already failed: cerr) and admits it to the in-memory window.
+// It returns the journal's error so far.
+func (s *Server) markDedup(t *tenant, core *tenantCore, entry checkpoint.DedupEntry, cerr error) error {
 	if core.store != nil && cerr == nil {
-		if err := core.store.Sync(); err != nil {
-			s.logf("serve: tenant %s: group commit sync: %v", t.id, err)
+		if err := core.store.AppendDedup(entry); err != nil {
+			s.logf("serve: tenant %s: journal dedup marker: %v", t.id, err)
 			cerr = err
 		}
 	}
+	t.mu.Lock()
+	if t.core == core {
+		t.dedup.add(entry)
+	}
+	t.mu.Unlock()
+	return cerr
+}
+
+// commit is the commit point for exactly-once semantics, shared by the JSON
+// and stream paths: it runs in the decide goroutine once a batch and its
+// dedup markers are journaled, and returns only when both durable legs are
+// done, so no ack can leave before them.
+//
+//   - The replica ship starts first and runs alongside the local commit. A
+//     failed ship is absorbed — semi-synchronous — and surfaces as replica
+//     lag, not a client error; a fenced ship (ErrDeposed) withholds the ack.
+//   - Store.Sync is the batch's one journal fsync, shared across tenants
+//     inside the group-commit window.
+//
+// A journal write or fsync failure (cerr) latches the tenant degraded:
+// acked decisions are never lost — they live in memory and in the shipped
+// stream — but the local journal has stopped.
+func (s *Server) commit(t *tenant, core *tenantCore, cerr error, res *decideResult) {
+	var shipped chan error
 	if s.primary != nil {
-		if err := s.primary.Flush(t.id); err != nil {
+		shipped = make(chan error, 1)
+		go func() { shipped <- s.primary.Flush(t.id) }()
+	}
+	if core.store != nil && cerr == nil {
+		if err := core.store.Sync(); err != nil {
+			s.logf("serve: tenant %s: journal commit sync: %v", t.id, err)
+			cerr = err
+		}
+	}
+	if shipped != nil {
+		if err := <-shipped; err != nil {
 			if errors.Is(err, replica.ErrDeposed) {
 				res.deposed = true
 			}

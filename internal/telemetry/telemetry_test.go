@@ -221,25 +221,25 @@ func TestConcurrentCreateAndScrape(t *testing.T) {
 	// touch a family's metrics map outside the registry lock — under -race
 	// this test catches both the Go race detector report and the runtime's
 	// fatal "concurrent map read and map write".
+	//
+	// The label space is bounded: each writer registers a fixed number of
+	// fresh label sets and the scraper keeps scraping until every writer is
+	// done, so inserts land mid-walk on any CPU count while the work (and
+	// each scrape's cost) stays fixed. Unbounded writers outpace the scraper
+	// once they run in parallel with it, and the registry then grows
+	// without limit.
+	const writers, perWriter = 4, 64
 	reg := NewRegistry()
-	stop := make(chan struct{})
 	ready := make(chan struct{})
 	var once sync.Once
-	var writers sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		writers.Add(1)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
 		go func(w int) {
-			defer writers.Done()
-			// Register a fresh label set every iteration until told to stop,
-			// so map inserts keep landing while scrapes are mid-walk. Gosched
-			// shares the P with the scraper on single-CPU runners — without
-			// it the scrapes and the inserts never interleave there.
-			for i := w; ; i += 4 {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			defer wg.Done()
+			// Gosched shares the P with the scraper on single-CPU runners —
+			// without it the scrapes and the inserts never interleave there.
+			for i := w; i < writers*perWriter; i += writers {
 				reg.Counter("moe_expert_selections_total", "", "expert", strconv.Itoa(i)).Inc()
 				reg.Gauge("g", "", "w", strconv.Itoa(i)).Set(float64(i))
 				reg.Histogram("h", "", nil, "w", strconv.Itoa(i)).Observe(1e-4)
@@ -248,8 +248,20 @@ func TestConcurrentCreateAndScrape(t *testing.T) {
 			}
 		}(w)
 	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
 	<-ready
-	for i := 0; i < 50; i++ {
+	for scrapes := 0; ; scrapes++ {
+		if scrapes > 0 {
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
 		if err := reg.WritePrometheus(io.Discard); err != nil {
 			t.Fatalf("WritePrometheus: %v", err)
 		}
@@ -258,8 +270,6 @@ func TestConcurrentCreateAndScrape(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	close(stop)
-	writers.Wait()
 }
 
 func TestLabelEscaping(t *testing.T) {
