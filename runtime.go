@@ -220,10 +220,17 @@ type Observation struct {
 // the f5 feature, then the last availability any prior observation
 // established, and only then the machine cap. Whatever the host reports,
 // the result is always in [1, maxThreads] and Decide never panics.
+//
+// Decide is the degenerate batch: it goes through DecideBatch's regime
+// dispatcher, so a healthy observation takes the proven fast path and
+// anything else the full ladder (see runtime_batch.go). It counts toward
+// BatchStats' fast/full split but not toward Batches, and emits no batch
+// telemetry record.
 func (r *Runtime) Decide(obs Observation) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.decideFullLocked(obs)
+	n := r.decideBatchOneLocked(&obs)
+	r.flushBatchLocked()
 	r.publishLocked()
 	return n
 }
@@ -231,7 +238,8 @@ func (r *Runtime) Decide(obs Observation) int {
 // decideFullLocked is the complete single-decision path — journaling,
 // sanitization ladder, policy, snapshot cadence, telemetry — under mu. It
 // does not republish the read shards; Decide and DecideBatch do that once
-// per call.
+// per call. Tests reach it directly as the full-ladder reference the
+// dispatcher is pinned against (export_test.go).
 func (r *Runtime) decideFullLocked(obs Observation) int {
 	// Telemetry observes and never steers: rec only collects what the
 	// decision path computes anyway, so the chosen n is bit-identical with

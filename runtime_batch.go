@@ -36,21 +36,29 @@ import (
 // demotes instead of being silently clamped on the fast path — repair is
 // the full ladder's business. Demotion never changes a decision, only which
 // path serves it.
+//
+// Single-shot Decide is the degenerate batch: it dispatches through
+// decideBatchOneLocked too, then flushes and republishes, without counting
+// a batch or emitting a batch record. FastDecisions and FullDecisions
+// therefore count every decision by the path that served it, single-shot
+// included; Batches counts DecideBatch calls only.
 
-// BatchStats reports the batch dispatcher's lifetime outcomes. Shard-backed
+// BatchStats reports the regime dispatcher's lifetime outcomes. Shard-backed
 // and lock-free, like Decisions.
 type BatchStats struct {
-	// Batches counts DecideBatch calls served.
+	// Batches counts DecideBatch calls served; single-shot Decide calls
+	// are not batches and do not count.
 	Batches int
-	// FastDecisions counts batch decisions served by the healthy-regime
-	// fast path.
+	// FastDecisions counts decisions served by the healthy-regime fast
+	// path, whether they arrived through Decide or DecideBatch.
 	FastDecisions int
-	// FullDecisions counts batch decisions routed through the full ladder.
+	// FullDecisions counts decisions routed through the full ladder,
+	// whether they arrived through Decide or DecideBatch.
 	FullDecisions int
 }
 
 // BatchStats returns the dispatcher counters published by the last
-// completed batch.
+// completed Decide or DecideBatch call.
 func (r *Runtime) BatchStats() BatchStats {
 	r.counters.mu.RLock()
 	defer r.counters.mu.RUnlock()
@@ -100,7 +108,8 @@ func (r *Runtime) DecideBatchInto(dst []int, obs []Observation) []int {
 	return dst
 }
 
-// decideBatchOneLocked dispatches one batched observation by regime.
+// decideBatchOneLocked dispatches one observation by regime: the single
+// dispatcher behind both Decide and DecideBatch.
 func (r *Runtime) decideBatchOneLocked(o *Observation) int {
 	if r.sink == nil && r.mix != nil && r.ckptErr == nil {
 		if n, ok := r.tryFastLocked(o); ok {

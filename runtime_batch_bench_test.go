@@ -47,6 +47,34 @@ func BenchmarkDecideBatchSteady(b *testing.B) {
 	_ = dst
 }
 
+// BenchmarkDecideSteady is the single-shot allocation bar: one op is one
+// Decide on the same healthy stream, its clock only moving forward, so the
+// dispatcher serves it on the fast path. After the warm-up pass it must run
+// at 0 allocs/op; bench-smoke greps this benchmark's -benchmem output.
+func BenchmarkDecideSteady(b *testing.B) {
+	rt := benchRuntime(b)
+	obs := benchBatch(64)
+	step := 0
+	retime(obs, &step)
+	for _, o := range obs {
+		rt.Decide(o)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		j := i % len(obs)
+		if j == 0 {
+			retime(obs, &step)
+		}
+		n += rt.Decide(obs[j])
+	}
+	benchThreads = n
+}
+
+// benchThreads keeps the benchmarked decisions observable to the compiler.
+var benchThreads int
+
 // BenchmarkDecideBatch measures per-decision cost at several batch sizes;
 // size 1 is the degenerate batch (full dispatcher overhead, no
 // amortization) and sizes 8/64 show the amortization curve against

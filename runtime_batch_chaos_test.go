@@ -12,11 +12,11 @@ import (
 // The regime dispatcher's safety contract under fault injection: a decision
 // on which ANY ladder rung engages — a sanitizer repair, a suspect verdict,
 // a reroute or fallback, a health transition — must never be served by the
-// fast path. The test derives ground truth from an instrumented reference
-// run (telemetry observes and never steers, so the reference decisions are
-// the silent ones), then replays the identical stream through the batch
-// dispatcher one observation per batch, reading the fast/full counters
-// after each.
+// fast path. The test derives ground truth from an instrumented full-ladder
+// reference run (DecideFullForTest; telemetry observes and never steers, so
+// the reference decisions are the silent ones), then replays the identical
+// stream through the batch dispatcher one observation per batch, reading
+// the fast/full counters after each.
 //
 // Demotion is allowed to be conservative (the plan may fail on decisions
 // the ladder would have let through — e.g. a repaired timestamp, which the
@@ -86,7 +86,7 @@ func TestDecideBatchChaosDemotions(t *testing.T) {
 			ref.SetTelemetry(cap)
 			want := make([]int, len(obs))
 			for i, o := range obs {
-				want[i] = ref.Decide(o)
+				want[i] = ref.DecideFullForTest(o)
 			}
 
 			// Batch dispatcher, one observation per batch, fast/full read

@@ -1,8 +1,11 @@
 package moe_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"moe"
@@ -14,8 +17,10 @@ import (
 	"moe/internal/telemetry"
 )
 
-// The differential harness: every scenario stream is pushed through Decide
-// one observation at a time and through DecideBatch at several batch sizes,
+// The differential harness: every scenario stream is pushed down the full
+// ladder one observation at a time (DecideFullForTest, which bypasses the
+// regime dispatcher Decide and DecideBatch share) and through DecideBatch
+// at several batch sizes,
 // and everything observable — the decision sequence, the runtime counters,
 // the thread histogram, the mixture's full analysis snapshot — must be
 // byte-identical. The batch fast path is only allowed to be faster, never
@@ -192,7 +197,8 @@ func batchScenarios(t testing.TB) map[string]batchScenario {
 	}
 }
 
-// runSingle replays obs through Decide one at a time.
+// runSingle replays obs one at a time down the full ladder, bypassing the
+// regime dispatcher: the reference every dispatched path is pinned to.
 func runSingle(t testing.TB, p moe.Policy, obs []moe.Observation) ([]int, *moe.Runtime) {
 	t.Helper()
 	rt, err := moe.NewRuntime(p, ckptMaxThreads)
@@ -201,7 +207,7 @@ func runSingle(t testing.TB, p moe.Policy, obs []moe.Observation) ([]int, *moe.R
 	}
 	out := make([]int, len(obs))
 	for i, o := range obs {
-		out[i] = rt.Decide(o)
+		out[i] = rt.DecideFullForTest(o)
 	}
 	return out, rt
 }
@@ -299,6 +305,77 @@ func TestDecideBatchStaysFast(t *testing.T) {
 	}
 	if bs.Batches != 3 {
 		t.Fatalf("batches = %d, want 3", bs.Batches)
+	}
+}
+
+// TestDecideSingleShotFast pins single-shot Decide as the degenerate batch.
+// On the steady stream every decision after the cold first one is served by
+// the fast path, and with a store attached (a snapshot every 16 decisions)
+// the run stays byte-identical to its full-ladder twin: decisions, runtime
+// state, histograms, and every journal and snapshot byte on disk.
+func TestDecideSingleShotFast(t *testing.T) {
+	const total, every = 200, 16
+	run := func(decide func(*moe.Runtime, moe.Observation) int) ([]int, *moe.Runtime, map[string][]byte) {
+		dir := t.TempDir()
+		store, err := moe.OpenCheckpoint(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := moe.NewRuntime(canonicalMixture(t), ckptMaxThreads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.AttachStore(store, every); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]int, total)
+		for i := range out {
+			out[i] = decide(rt, steadyObservation(i))
+		}
+		if err := rt.CheckpointErr(); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string][]byte, len(entries))
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = data
+		}
+		return out, rt, files
+	}
+	want, ref, wantFiles := run((*moe.Runtime).DecideFullForTest)
+	got, rt, gotFiles := run((*moe.Runtime).Decide)
+
+	if bs := rt.BatchStats(); bs.FullDecisions != 1 || bs.FastDecisions != total-1 || bs.Batches != 0 {
+		t.Fatalf("single-shot dispatch %+v, want 1 full (the cold first), %d fast, 0 batches", bs, total-1)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("decision %d diverged: %d vs %d", i, got[i], want[i])
+		}
+	}
+	if g, w := runtimeFingerprint(rt), runtimeFingerprint(ref); g != w {
+		t.Fatalf("runtime state diverged:\n got %s\nwant %s", g, w)
+	}
+	if !histogramsEqual(rt.ThreadHistogram(), ref.ThreadHistogram()) {
+		t.Fatalf("thread histograms diverged:\n got %v\nwant %v", rt.ThreadHistogram(), ref.ThreadHistogram())
+	}
+	if len(gotFiles) != len(wantFiles) {
+		t.Fatalf("checkpoint dir holds %d files, want %d", len(gotFiles), len(wantFiles))
+	}
+	for name, w := range wantFiles {
+		if g, ok := gotFiles[name]; !ok || !bytes.Equal(g, w) {
+			t.Fatalf("checkpoint file %s differs from the full-ladder twin's", name)
+		}
 	}
 }
 
@@ -454,7 +531,7 @@ func TestDecideBatchCheckpointEquivalence(t *testing.T) {
 // FuzzDecideBatchEquivalence fuzzes the differential property itself:
 // arbitrary observation streams (clean, corrupt, regressive — whatever the
 // generator derives from the seed) chunked at an arbitrary batch size must
-// match the single-decision replay exactly.
+// match the full-ladder replay exactly.
 func FuzzDecideBatchEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(1))
 	f.Add(uint64(77), uint8(2))

@@ -272,8 +272,13 @@ func benchRuntime(b *testing.B) *moe.Runtime {
 	return rt
 }
 
-// BenchmarkDecide measures the uninstrumented hot path; its instrumented
+// BenchmarkDecide measures the uninstrumented full ladder; its instrumented
 // twin below bounds the telemetry overhead (the acceptance bar is ≤10%).
+// The i%256 wrap moves the clock backwards, and a repaired timestamp
+// demotes Decide off the fast path, so after the first wrap every decision
+// walks the full ladder — the path an attached sink forces too, which is
+// what keeps this the right baseline for the instrumented bar.
+// BenchmarkDecideSteady measures the single-shot fast path.
 func BenchmarkDecide(b *testing.B) {
 	rt := benchRuntime(b)
 	b.ReportAllocs()
