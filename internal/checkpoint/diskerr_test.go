@@ -100,6 +100,37 @@ func TestFailingAppendIsDiskError(t *testing.T) {
 	store.journal = nil // already closed
 }
 
+// TestFailingRotationIsDiskError: a snapshot's journal rotation that cannot
+// sync and close the old journal is a filesystem failure, and must say so —
+// a host latches a tenant degraded only on a DiskError, so a bare error here
+// would leave a tenant that has stopped journaling reported as persistent.
+func TestFailingRotationIsDiskError(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteSnapshot(testState(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	old := store.journal.Name()
+	// Close the journal out from under the store: the rotation's sync of
+	// the old journal fails like it would on a dying disk.
+	if err := store.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = store.WriteSnapshot(testState(t, 5))
+	if err == nil {
+		t.Fatal("rotation over a closed journal must fail")
+	}
+	var de *DiskError
+	if !errors.As(err, &de) {
+		t.Fatalf("rotation failure %v is not a DiskError", err)
+	}
+	if de.Op != "rotate" || de.Path != old {
+		t.Errorf("op %q path %q, want rotate %q", de.Op, de.Path, old)
+	}
+}
+
 func TestContentMismatchIsNotDiskError(t *testing.T) {
 	// Corrupt contents and wrong-policy states are the caller's problem,
 	// not the disk's; classifying them as disk failures would let a host

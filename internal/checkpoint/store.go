@@ -306,8 +306,11 @@ func (s *Store) writeSnapshot(st *State) error {
 // rotateJournal closes the current journal and starts a fresh one whose
 // epoch is the given decision count, writing its header record durably.
 func (s *Store) rotateJournal(epoch int) error {
-	if err := s.Close(); err != nil {
-		return err
+	if s.journal != nil {
+		old := s.journal.Name()
+		if err := s.Close(); err != nil {
+			return diskErr("rotate", old, err)
+		}
 	}
 	path := filepath.Join(s.dir, journalName(fileID{run: s.run, seq: epoch}))
 	if err := s.fault(atomicio.StageCreate); err != nil {
@@ -506,7 +509,7 @@ func pruneDir(dir string, cur fileID) error {
 	}
 	// Crash leftovers from interrupted snapshot writes are harmless but
 	// accumulate; sweep them while we are here.
-	return atomicio.RemoveTemps(dir)
+	return diskErr("prune", dir, atomicio.RemoveTemps(dir))
 }
 
 // Recovery is the result of reading a checkpoint directory after a crash.

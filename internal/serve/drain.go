@@ -158,7 +158,9 @@ func (s *Server) drainTenant(t *tenant, deadline time.Time, rep *DrainReport) {
 		}
 	}
 	t.mu.Lock()
-	t.core = nil // the store is closed; this generation must not serve again
+	if t.core == core {
+		t.abandonLocked() // the store is closed; this generation must not serve again
+	}
 	t.mu.Unlock()
 	if err != nil {
 		rep.JournalOnly = append(rep.JournalOnly, t.id)

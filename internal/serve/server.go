@@ -480,7 +480,7 @@ func (s *Server) serveOne(ctx context.Context, req *decideRequest) (*decideRespo
 // maxRequestID bounds client request IDs (they are journaled).
 const maxRequestID = 128
 
-// decideResult is what the decide goroutine hands back (or leaves behind,
+// decideResult is what the decide worker hands back (or leaves behind,
 // if the handler gave up on it).
 type decideResult struct {
 	threads   []int
@@ -554,14 +554,14 @@ func (s *Server) decideTenant(ctx context.Context, t *tenant, reqID string, obs 
 	}
 }
 
-// runDecide executes the batch in its own goroutine so the handler can
-// abandon it at the deadline without killing it: the decision keeps
-// running (the watchdog deals with it if it never finishes), bookkeeping
-// happens in finishDecide either way, and the tenant's slot is released
-// only when the batch is truly done.
+// runDecide executes the batch on the generation's decide worker so the
+// handler can abandon it at the deadline without killing it: the decision
+// keeps running (the watchdog deals with it if it never finishes),
+// bookkeeping happens in finishDecide either way, and the tenant's slot is
+// released only when the batch is truly done.
 func (s *Server) runDecide(ctx context.Context, t *tenant, core *tenantCore, reqID string, obs []moe.Observation) (*decideResult, *apiError) {
 	done := make(chan *decideResult, 1)
-	go func() {
+	s.runOnWorker(core, func() {
 		res := &decideResult{}
 		func() {
 			defer func() {
@@ -580,7 +580,7 @@ func (s *Server) runDecide(ctx context.Context, t *tenant, core *tenantCore, req
 		s.finishDecide(t, core, res)
 		done <- res
 		<-core.sem
-	}()
+	})
 	select {
 	case res := <-done:
 		if res.panicked != "" {

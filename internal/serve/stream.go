@@ -22,7 +22,7 @@ import (
 // decide frames; the session splits into two goroutine halves joined by an
 // arrival-ordered slot queue:
 //
-//	decode loop ──► per-tenant coalescer ──► decide goroutine
+//	decode loop ──► per-tenant coalescer ──► decide worker
 //	     │                                        │ fills slot
 //	     └────────── order queue ──► write loop ◄─┘
 //
@@ -82,7 +82,7 @@ type streamSlot struct {
 }
 
 // streamReq is an admitted decide frame on its way through a tenant
-// coalescer; the decide goroutine fills decisions/threads for the commit.
+// coalescer; the decide worker fills decisions/threads for the commit.
 type streamReq struct {
 	reqID     string
 	obs       []moe.Observation
@@ -434,34 +434,50 @@ func (sess *session) finishSlot(slot *streamSlot) {
 	s.inflight.Done()
 }
 
-// enqueueStream adds an admitted frame to the tenant's coalescer, starting
-// its flusher if idle. The flusher drains groups until the pending queue
-// is empty; frames that arrive while a group is being decided merge into
-// the next group.
+// enqueueStream adds an admitted frame to the tenant's coalescer and wakes
+// its flusher, starting one if none is running. The flusher drains groups
+// until the pending queue is empty, then parks; frames that arrive while a
+// group is being decided merge into the next group.
 func (s *Server) enqueueStream(t *tenant, r *streamReq) {
 	t.coalMu.Lock()
 	t.coalPending = append(t.coalPending, r)
 	spawn := !t.coalActive
-	if spawn {
-		t.coalActive = true
-	}
+	t.coalActive = true
 	t.coalMu.Unlock()
 	if spawn {
 		go s.streamFlusher(t)
+		return
+	}
+	select {
+	case t.coalWake <- struct{}{}:
+	default: // a wake-up is already pending
 	}
 }
 
+// streamFlusher is the tenant's resident flusher. It exits only once the
+// server has stopped and the queue is empty; a later enqueue (a drain's
+// in-flight tail) starts a fresh one.
 func (s *Server) streamFlusher(t *tenant) {
 	for {
 		t.coalMu.Lock()
 		group := t.coalPending
 		t.coalPending = nil
-		if len(group) == 0 {
-			t.coalActive = false
-			t.coalMu.Unlock()
-			return
-		}
 		t.coalMu.Unlock()
+		if len(group) == 0 {
+			select {
+			case <-t.coalWake:
+				continue
+			case <-s.stop:
+			}
+			t.coalMu.Lock()
+			if len(t.coalPending) == 0 {
+				t.coalActive = false
+				t.coalMu.Unlock()
+				return
+			}
+			t.coalMu.Unlock()
+			continue
+		}
 		if s.cfg.DisableStreamCoalesce {
 			for _, r := range group {
 				s.streamServeGroup(t, []*streamReq{r})
@@ -475,10 +491,10 @@ func (s *Server) streamFlusher(t *tenant) {
 // streamServeGroup serves one coalesced group on tenant t: breaker gate,
 // core acquisition, dedup pass, then one merged DecideBatch whose commit —
 // dedup markers, group-commit journal sync, replica flush — is shared by
-// every member. The batch itself runs in its own goroutine so a wedged
-// tenant wedges at most this group: the flusher times out at the group's
-// latest deadline and moves on (the writer has already answered the
-// members with deadline errors), and the watchdog owns the stuck
+// every member. The batch itself runs on the generation's decide worker so
+// a wedged tenant wedges at most this group: the flusher times out at the
+// group's latest deadline and moves on (the writer has already answered
+// the members with deadline errors), and the watchdog owns the stuck
 // generation — exactly the HTTP path's abandonment semantics.
 func (s *Server) streamServeGroup(t *tenant, group []*streamReq) {
 	now := time.Now()
@@ -579,7 +595,7 @@ func (s *Server) streamServeGroup(t *tenant, group []*streamReq) {
 		total += len(r.obs)
 	}
 	done := make(chan struct{})
-	go func() {
+	s.runOnWorker(core, func() {
 		defer close(done)
 		merged := make([]moe.Observation, 0, total)
 		for _, r := range exec {
@@ -600,7 +616,7 @@ func (s *Server) streamServeGroup(t *tenant, group []*streamReq) {
 		s.finishDecide(t, core, res)
 		s.fillStreamGroup(t, exec, late, res)
 		<-core.sem
-	}()
+	})
 	wait := time.Until(latest)
 	if wait < 0 {
 		wait = 0
@@ -611,7 +627,7 @@ func (s *Server) streamServeGroup(t *tenant, group []*streamReq) {
 		tm.Stop()
 	case <-tm.C:
 		// The group is past every member's deadline (the writer has told
-		// them so). Leave the decide goroutine to the watchdog and serve
+		// them so). Leave the decide worker to the watchdog and serve
 		// the next group — on this generation if it recovers, on the
 		// rebuilt one otherwise.
 	}

@@ -23,14 +23,74 @@ var tenantIDRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 // tenantCore is one serving generation of a tenant: the runtime, its
 // attached checkpoint store (nil when ephemeral or degraded), and the
 // single decision slot that serializes access to the runtime's writer
-// path. A core is immutable once published; fault recovery never repairs a
-// core in place — it abandons the generation and builds the next one, so a
-// goroutine wedged inside an old generation can never touch the new one.
+// path. A core's generation, runtime, store and slot are fixed once
+// published; fault recovery never repairs a core in place — it abandons
+// the generation and builds the next one, so a goroutine wedged inside an
+// old generation can never touch the new one.
+//
+// Every batch served on a core runs on the core's one resident decide
+// worker (runOnWorker), so serving a batch starts no goroutine and the
+// worker's stack, grown once, is reused by every later batch.
 type tenantCore struct {
 	gen   int
 	rt    *moe.Runtime
 	store *checkpoint.Store
 	sem   chan struct{} // cap 1: the tenant's decision slot
+
+	// work hands the decision-slot holder's batch to the worker. Cap 1 and
+	// the slot make the send non-blocking: the previous batch releases the
+	// slot only once the worker has taken it off the channel.
+	work chan func()
+	// retired is closed once, when the generation is abandoned (abandonLocked).
+	retired chan struct{}
+	// workMu guards working: whether the worker goroutine exists. It starts
+	// on the core's first batch and exits once idle after retirement or
+	// server stop; a later batch (a drain's in-flight tail) restarts it.
+	workMu  sync.Mutex
+	working bool
+}
+
+func newTenantCore(gen int, rt *moe.Runtime) *tenantCore {
+	return &tenantCore{gen: gen, rt: rt, sem: make(chan struct{}, 1),
+		work: make(chan func(), 1), retired: make(chan struct{})}
+}
+
+// runOnWorker runs job on the core's decide worker, starting the worker if
+// it is not running. The caller holds core.sem; job releases it last.
+func (s *Server) runOnWorker(core *tenantCore, job func()) {
+	core.workMu.Lock()
+	core.work <- job
+	if !core.working {
+		core.working = true
+		go s.decideWorker(core)
+	}
+	core.workMu.Unlock()
+}
+
+// decideWorker is a core's resident decide goroutine. A wedged batch wedges
+// it — and only it — while holding the generation's decision slot; once the
+// batch returns and the generation is retired, the worker exits.
+func (s *Server) decideWorker(core *tenantCore) {
+	for {
+		select {
+		case job := <-core.work:
+			job()
+			continue
+		case <-core.retired:
+		case <-s.stop:
+		}
+		core.workMu.Lock()
+		select {
+		case job := <-core.work:
+			core.workMu.Unlock()
+			job()
+			continue
+		default:
+		}
+		core.working = false
+		core.workMu.Unlock()
+		return
+	}
 }
 
 // tenant is the registry entry: identity, the current core (nil between
@@ -58,11 +118,13 @@ type tenant struct {
 
 	// Streaming coalescer state: admitted frames queue on coalPending and
 	// a single flusher goroutine (alive while coalActive) drains them in
-	// merged DecideBatch groups. Guarded by coalMu, never t.mu — enqueue
-	// must stay cheap and the flusher blocks on the decision slot.
+	// merged DecideBatch groups, parking on coalWake when there is nothing
+	// to drain. Guarded by coalMu, never t.mu — enqueue must stay cheap and
+	// the flusher blocks on the decision slot.
 	coalMu      sync.Mutex
 	coalPending []*streamReq
 	coalActive  bool
+	coalWake    chan struct{} // cap 1: one pending wake-up covers any number of enqueues
 
 	// Per-tenant label set. Handles are created once at registration; past
 	// the registry's cardinality cap they are detached (still usable,
@@ -130,10 +192,11 @@ func (s *Server) tenant(id string) (*tenant, *apiError) {
 		return nil, s.shed("tenant-capacity", 503, "tenant registry full", time.Second)
 	}
 	t = &tenant{
-		id:      id,
-		brk:     newBreaker(s.cfg.BreakerBackoff, s.cfg.BreakerBackoffMax, s.cfg.ProbationRequests),
-		dedup:   newDedupWindow(s.cfg.DedupWindow),
-		rebuild: make(chan struct{}, 1),
+		id:       id,
+		brk:      newBreaker(s.cfg.BreakerBackoff, s.cfg.BreakerBackoffMax, s.cfg.ProbationRequests),
+		dedup:    newDedupWindow(s.cfg.DedupWindow),
+		rebuild:  make(chan struct{}, 1),
+		coalWake: make(chan struct{}, 1),
 		mDecisions: s.reg.Counter("serve_tenant_decisions_total",
 			"Decisions served, per tenant.", "tenant", id),
 		mState: s.reg.Gauge("serve_tenant_state",
@@ -217,7 +280,7 @@ func (s *Server) buildCore(t *tenant, gen int) (core *tenantCore, degraded strin
 	if err != nil {
 		return nil, "", err
 	}
-	core = &tenantCore{gen: gen, rt: rt, sem: make(chan struct{}, 1)}
+	core = newTenantCore(gen, rt)
 	if t.dir == "" {
 		return core, "", nil
 	}
@@ -239,7 +302,7 @@ func (s *Server) buildCore(t *tenant, gen int) (core *tenantCore, degraded strin
 		if rt, err = newRuntime(); err != nil {
 			return nil, "", err
 		}
-		core = &tenantCore{gen: gen, rt: rt, sem: make(chan struct{}, 1)}
+		core = newTenantCore(gen, rt)
 		if store, err = checkpoint.OpenOptions(t.dir, s.storeOptions()); err != nil {
 			if checkpoint.IsDiskError(err) {
 				return core, err.Error(), nil
@@ -353,7 +416,7 @@ func (s *Server) boundedResume(t *tenant, rt *moe.Runtime, store *checkpoint.Sto
 	}
 }
 
-// commitBatch runs in the decide goroutine after a successful batch, before
+// commitBatch runs on the decide worker after a successful batch, before
 // the handler is released. For an identified request it journals the dedup
 // marker behind the batch's own entries and admits it to the in-memory
 // window; then the batch commits.
@@ -370,6 +433,14 @@ func (s *Server) commitBatch(t *tenant, core *tenantCore, reqID string, res *dec
 		}, cerr)
 	}
 	s.commit(t, core, cerr, res)
+}
+
+// abandonLocked retires the serving generation: the next request builds a
+// fresh core, and the old core's worker exits once its batch (if any)
+// returns. Callers hold t.mu and have checked t.core != nil.
+func (t *tenant) abandonLocked() {
+	close(t.core.retired)
+	t.core = nil
 }
 
 // serves reports whether core is still the tenant's serving generation.
@@ -398,7 +469,7 @@ func (s *Server) markDedup(t *tenant, core *tenantCore, entry checkpoint.DedupEn
 }
 
 // commit is the commit point for exactly-once semantics, shared by the JSON
-// and stream paths: it runs in the decide goroutine once a batch and its
+// and stream paths: it runs on the decide worker once a batch and its
 // dedup markers are journaled, and returns only when both durable legs are
 // done, so no ack can leave before them.
 //
@@ -444,7 +515,7 @@ func (s *Server) commit(t *tenant, core *tenantCore, cerr error, res *decideResu
 	}
 }
 
-// finishDecide runs in the decide goroutine after the batch returned or
+// finishDecide runs on the decide worker after the batch returned or
 // panicked — whether or not the requesting handler is still waiting (it
 // may have timed out long ago). It is the single place tenant health is
 // judged.
@@ -477,7 +548,7 @@ func (s *Server) finishDecide(t *tenant, core *tenantCore, res *decideResult) {
 	if current {
 		t.brk.trip(time.Now())
 		quarantine = t.brk.backoff / 2 // trip already doubled it
-		t.core = nil
+		t.abandonLocked()
 		t.setStateLocked()
 	}
 	t.mu.Unlock()
@@ -495,9 +566,9 @@ func (s *Server) finishDecide(t *tenant, core *tenantCore, res *decideResult) {
 }
 
 // sweepWedged is the watchdog pass: any tenant whose in-flight decision
-// has outlived the wedge budget gets its generation abandoned. The wedged
-// goroutine keeps its runtime and store — closing the store under it would
-// race — while the next request rebuilds from the last checkpoint on a
+// has outlived the wedge budget gets its generation abandoned. The
+// generation's wedged worker keeps its runtime and store — closing the
+// store under it would race — while the next request rebuilds from the last checkpoint on a
 // fresh lineage; the abandoned generation's journal writes land on a
 // superseded run number and are ignored by recovery from then on.
 func (s *Server) sweepWedged(now time.Time) {
@@ -507,7 +578,7 @@ func (s *Server) sweepWedged(now time.Time) {
 		var gen int
 		if wedged {
 			gen = t.core.gen
-			t.core = nil
+			t.abandonLocked()
 			t.busySince = time.Time{}
 			t.recycles++
 		}
