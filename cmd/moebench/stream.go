@@ -24,8 +24,7 @@ import (
 // sequence of small decide batches — pushed through every transport the
 // daemon speaks, on otherwise identical servers. The committed evidence
 // (BENCH_PR10.json) reports decisions/sec per transport and the speedup of
-// the wire protocol (with and without request coalescing) over one-request-
-// per-batch JSON, plus a separate durability phase measuring what journal
+// the pipelined wire protocol over one-request-per-batch JSON, plus a separate durability phase measuring what journal
 // group commit buys when every append must be fsynced. Every arm's served
 // threads are replayed against solo runtimes; a mismatch is a hard failure,
 // because a transport that is fast but wrong certifies nothing.
@@ -449,21 +448,17 @@ func runStream(opts streamOpts) (*streamReport, error) {
 
 	type armRun struct {
 		transport   string
-		noCoalesce  bool
 		run         func(base string) *armResult
 		wantCoalesc bool
 	}
 	arms := []armRun{
-		{"json", false, func(base string) *armResult { return runJSONArm(base, opts) }, false},
-		{"ndjson", false, func(base string) *armResult { return runNDJSONArm(base, opts) }, false},
-		{"wire", false, func(base string) *armResult { return runWireArm(base, opts, opts.FramesPerTenant) }, true},
-		{"wire-nocoalesce", true, func(base string) *armResult { return runWireArm(base, opts, opts.FramesPerTenant) }, true},
+		{"json", func(base string) *armResult { return runJSONArm(base, opts) }, false},
+		{"ndjson", func(base string) *armResult { return runNDJSONArm(base, opts) }, false},
+		{"wire", func(base string) *armResult { return runWireArm(base, opts, opts.FramesPerTenant) }, true},
 	}
 	var jsonDPS float64
 	for _, a := range arms {
-		cfg := streamServeConfig(opts)
-		cfg.DisableStreamCoalesce = a.noCoalesce
-		srv, base, stop, err := startStreamServer(cfg)
+		srv, base, stop, err := startStreamServer(streamServeConfig(opts))
 		if err != nil {
 			return nil, err
 		}
@@ -508,8 +503,7 @@ func runStream(opts streamOpts) (*streamReport, error) {
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("identical workload per arm: %d tenants x %d frames x %d obs, served threads golden-checked against solo runtimes",
 			opts.Tenants, opts.FramesPerTenant, opts.Batch),
-		fmt.Sprintf("wire transport sustains %.1fx the JSON baseline (coalescing %s)",
-			rep.SpeedupWireVsJSON, "on"))
+		fmt.Sprintf("wire transport sustains %.1fx the JSON baseline", rep.SpeedupWireVsJSON))
 	return rep, nil
 }
 

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -10,6 +13,7 @@ import (
 	"time"
 
 	"moe"
+	"moe/moeclient"
 )
 
 // TestPanicQuarantineAndProbation walks one tenant through the whole
@@ -172,5 +176,161 @@ func TestDegradedStoreServesJournalLess(t *testing.T) {
 	}
 	if rep.Checkpointed != 1 {
 		t.Fatalf("Checkpointed = %d, want 1 (the healthy sibling)", rep.Checkpointed)
+	}
+}
+
+// shedCounts reads serve_shed_total by reason.
+func shedCounts(srv *Server) map[string]int64 {
+	srv.metrics.mu.Lock()
+	defer srv.metrics.mu.Unlock()
+	out := make(map[string]int64, len(srv.metrics.sheds))
+	for reason, c := range srv.metrics.sheds {
+		out[reason] = c.Value()
+	}
+	return out
+}
+
+// TestEnvelopeParity pins the one admission envelope: each refusal reaches
+// a JSON body, an NDJSON line, a demoted JSON value on the stream port and
+// a wire frame with the same code, and costs each of them the same
+// serve_shed_total{reason} delta — one for a shed, none for a malformed
+// request. An NDJSON body is admitted as a whole, so its single line
+// carries the body's admission refusal.
+func TestEnvelopeParity(t *testing.T) {
+	type parityCase struct {
+		name          string
+		cfg           Config
+		setup         func(t *testing.T, srv *Server, url string)
+		tenant, reqID string
+		obs           []moe.Observation
+		code          string
+		shed          bool
+	}
+	obs := tenantStream("parity", 0, 2)
+	cases := []parityCase{
+		{name: "draining", setup: func(_ *testing.T, srv *Server, _ string) { srv.draining.Store(true) },
+			code: "draining", shed: true},
+		{name: "standby", setup: func(_ *testing.T, srv *Server, _ string) { srv.serving.Store(false) },
+			code: "standby", shed: true},
+		{name: "rate", cfg: Config{Rate: 0.001, Burst: 1},
+			setup: func(_ *testing.T, srv *Server, _ string) { srv.bucket.take(time.Now()) },
+			code:  "rate", shed: true},
+		{name: "capacity", cfg: Config{MaxInflight: 1},
+			setup: func(_ *testing.T, srv *Server, _ string) { srv.slots.tryAcquire() },
+			code:  "capacity", shed: true},
+		{name: "empty batch", code: "bad-request"},
+		{name: "over MaxBatch", cfg: Config{MaxBatch: 1}, obs: obs, code: "bad-request"},
+		{name: "oversized request id", reqID: strings.Repeat("x", maxRequestID+1), obs: obs, code: "bad-request"},
+		{name: "bad tenant", tenant: "no/slashes", obs: obs, code: "bad-tenant"},
+		{name: "quarantined", obs: obs, code: "quarantined", shed: true,
+			cfg: Config{BreakerBackoff: time.Minute, PolicyBuild: func(id string) (moe.Policy, error) {
+				p, err := DefaultPolicyBuild(id)
+				if err != nil {
+					return nil, err
+				}
+				return PanicEvery(p, 1), nil
+			}},
+			setup: func(t *testing.T, _ *Server, url string) {
+				if status, _, eresp, _ := postDecide(t, url, "parity", toWire(obs), 0); eresp == nil || eresp.Code != "tenant-fault" {
+					t.Fatalf("tripping the breaker: status %d %+v, want tenant-fault", status, eresp)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.tenant == "" {
+				tc.tenant = "parity"
+			}
+			srv, ts := newTestServer(t, tc.cfg)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.ServeStream(ln)
+			wc := dialStream(t, ts.URL)
+			dc, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dc.Close()
+			// Both sessions must be registered before a gate closes on them.
+			for deadline := time.Now().Add(2 * time.Second); srv.stream.sessions.Value() < 2; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("stream sessions never registered")
+				}
+			}
+			if tc.setup != nil {
+				tc.setup(t, srv, ts.URL)
+			}
+			req := decideRequest{Tenant: tc.tenant, Observations: toWire(tc.obs), RequestID: tc.reqID}
+			line, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			demoted := json.NewDecoder(bufio.NewReader(dc))
+			transports := []struct {
+				name string
+				send func() string
+			}{
+				{"json", func() string {
+					_, _, eresp := postDecideID(t, ts.URL, req.Tenant, req.RequestID, req.Observations)
+					if eresp == nil {
+						return "served"
+					}
+					return eresp.Code
+				}},
+				{"ndjson", func() string {
+					resp, err := http.Post(ts.URL+"/v1/decide", "application/x-ndjson", bytes.NewReader(append(line, '\n')))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer resp.Body.Close()
+					var eresp errorResponse
+					if err := json.NewDecoder(resp.Body).Decode(&eresp); err != nil {
+						t.Fatal(err)
+					}
+					return eresp.Code
+				}},
+				{"demoted", func() string {
+					if _, err := dc.Write(append(line, '\n')); err != nil {
+						t.Fatal(err)
+					}
+					var eresp errorResponse
+					if err := demoted.Decode(&eresp); err != nil {
+						t.Fatal(err)
+					}
+					return eresp.Code
+				}},
+				{"wire", func() string {
+					resp, err := wc.Do(1, 0, tc.tenant, tc.reqID, tc.obs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if se, ok := resp.Err.(*moeclient.ServerError); ok {
+						return se.Code
+					}
+					return "served"
+				}},
+			}
+			for _, tr := range transports {
+				before := shedCounts(srv)
+				if code := tr.send(); code != tc.code {
+					t.Errorf("%s: code %q, want %q", tr.name, code, tc.code)
+				}
+				after := shedCounts(srv)
+				for reason, n := range after {
+					want := int64(0)
+					if tc.shed && reason == tc.code {
+						want = 1
+					}
+					if d := n - before[reason]; d != want {
+						t.Errorf("%s: serve_shed_total{reason=%q} moved by %d, want %d", tr.name, reason, d, want)
+					}
+				}
+				if tc.shed && after[tc.code] == 0 {
+					t.Errorf("%s: %s refusal never counted", tr.name, tc.code)
+				}
+			}
+		})
 	}
 }

@@ -1,9 +1,10 @@
 // Package serve is the multi-tenant decision daemon: it hosts many
 // independent tenant runtimes — each a full moe.Runtime with its own
 // checkpoint lineage under a per-tenant directory and its own telemetry
-// label set — behind one HTTP/NDJSON decision API, and wraps them in a
-// robustness envelope so no tenant can take the service, or any other
-// tenant, down with it.
+// label set — behind one decision API (JSON, NDJSON and the wire protocol
+// are codecs over one serve pipeline), and wraps them in a robustness
+// envelope so no tenant can take the service, or any other tenant, down
+// with it.
 //
 // The envelope, outermost first (DESIGN.md §13):
 //
@@ -11,10 +12,10 @@
 //     429 + Retry-After; a fixed slot pool bounds concurrent decision
 //     requests and sheds the excess with 503. Shedding is explicit and
 //     counted (serve_shed_total{reason}).
-//   - Deadlines: every request carries a deadline (X-Deadline-Ms, capped)
-//     propagated by context; a request that cannot be served in time gets
-//     504 and is counted (serve_deadline_exceeded_total), whether it was
-//     queued behind a slow tenant or the tenant wedged mid-decision.
+//   - Deadlines: every request carries a deadline (X-Deadline-Ms or the
+//     frame's field, capped); a request that cannot be served in time gets
+//     504 and is counted once (serve_deadline_exceeded_total), whether it
+//     was queued behind a slow tenant or the tenant wedged mid-decision.
 //   - Per-tenant circuit breaker: a panic in one tenant's decision path is
 //     recovered, quarantines that tenant with exponential backoff, and
 //     re-admits it through probation — the tenant-granularity mirror of
@@ -27,10 +28,11 @@
 //     every tenant, all within a bounded window (cmd/moed wires SIGTERM to
 //     it and exits 0 on a clean drain).
 //
-// Every request body routes through Runtime.DecideBatch, so the PR 6
-// batched hot path carries the traffic; decisions are byte-identical to a
-// solo Runtime fed the same observation stream, which is how the isolation
-// tests prove fault containment.
+// Every request routes through its tenant's coalescer into one merged
+// Runtime.DecideBatch per group, so the batched hot path (DESIGN.md §12)
+// carries the traffic; decisions are byte-identical to a solo Runtime fed
+// the same observation stream, which is how the isolation tests prove
+// fault containment.
 package serve
 
 import (
@@ -130,13 +132,6 @@ type Config struct {
 	// window survives restart and failover. 0 selects DefDedupWindow;
 	// negative disables deduplication.
 	DedupWindow int
-
-	// DisableStreamCoalesce turns off request coalescing on the streaming
-	// transport: concurrent frames for one tenant run one DecideBatch per
-	// frame instead of merging under the tenant's decision slot. Decisions
-	// are byte-identical either way (the PR 6 batch contract); this exists
-	// as the benchmark ablation arm.
-	DisableStreamCoalesce bool
 
 	// JitterSeed seeds the deterministic stream that spreads Retry-After
 	// hints (each shed hint gets + U[0, hint/2)), so shed clients do not

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -292,5 +293,57 @@ func TestNDJSONStreaming(t *testing.T) {
 	want := soloThreads(t, stream)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("NDJSON threads diverge from solo runtime:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestJSONAckDecisionsDistinct: concurrent one-observation requests on one
+// tenant are each acked with their own decision count — the tenant's count
+// right after that request's decision — so the acked counts are exactly
+// 1..N whatever the interleaving.
+func TestJSONAckDecisionsDistinct(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const id, workers, perWorker = "acks", 8, 150
+	acked := make([][]int64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				body, _ := json.Marshal(decideRequest{Tenant: id, Observations: toWire(tenantStream(id, w*perWorker+i, 1))})
+				resp, err := http.Post(ts.URL+"/v1/decide", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var out decideResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("worker %d request %d: status %d, %v", w, i, resp.StatusCode, err)
+					return
+				}
+				acked[w] = append(acked[w], out.Decisions)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	seen := make(map[int64]int)
+	for _, counts := range acked {
+		for _, n := range counts {
+			seen[n]++
+		}
+	}
+	dups := 0
+	for n := int64(1); n <= workers*perWorker; n++ {
+		if seen[n] != 1 {
+			dups++
+		}
+	}
+	if dups > 0 {
+		t.Fatalf("%d of the counts 1..%d were not acked exactly once", dups, workers*perWorker)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -208,17 +207,31 @@ type apiError struct {
 	retryAfter time.Duration
 }
 
+func (e *apiError) response() errorResponse {
+	return errorResponse{Error: e.msg, Code: e.code, RetryAfterMs: e.retryAfter.Milliseconds()}
+}
+
+func badRequest(msg string) *apiError {
+	return &apiError{status: http.StatusBadRequest, code: "bad-request", msg: msg}
+}
+
+// errDeadline answers a request that missed its deadline. Only the waiter
+// that sends it counts it (await), so a request is counted once no matter
+// how many stages saw its deadline pass.
+var errDeadline = &apiError{status: http.StatusGatewayTimeout, code: "deadline-exceeded", msg: "request deadline exceeded"}
+
 // shed counts a refusal under reason and shapes it into the response. Every
 // Retry-After hint leaving here is jittered (+U[0, hint/2)) so a cohort
 // shed together does not return together.
 func (s *Server) shed(reason string, status int, msg string, retryAfter time.Duration) *apiError {
-	s.metrics.shed(reason).Inc()
-	return &apiError{status: status, code: reason, msg: msg, retryAfter: s.jit.spread(retryAfter)}
+	return s.shedN(1, reason, status, msg, retryAfter)
 }
 
-func (s *Server) deadline() *apiError {
-	s.metrics.deadlineExceeded.Inc()
-	return &apiError{status: http.StatusGatewayTimeout, code: "deadline-exceeded", msg: "request deadline exceeded"}
+// shedN is shed for n requests refused together (the members of a group):
+// one count each, one shared reply.
+func (s *Server) shedN(n int, reason string, status int, msg string, retryAfter time.Duration) *apiError {
+	s.metrics.shed(reason).Add(int64(n))
+	return &apiError{status: status, code: reason, msg: msg, retryAfter: s.jit.spread(retryAfter)}
 }
 
 // Wire format.
@@ -272,37 +285,158 @@ func (o *observation) toObs() (moe.Observation, error) {
 
 func (s *Server) writeError(w http.ResponseWriter, e *apiError) {
 	w.Header().Set("Content-Type", "application/json")
-	var retryMs int64
 	if e.retryAfter > 0 {
 		secs := int64(e.retryAfter+time.Second-1) / int64(time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		retryMs = e.retryAfter.Milliseconds()
 	}
 	w.WriteHeader(e.status)
-	json.NewEncoder(w).Encode(errorResponse{Error: e.msg, Code: e.code, RetryAfterMs: retryMs})
+	json.NewEncoder(w).Encode(e.response())
 }
 
-// requestDeadline resolves the per-request deadline: X-Deadline-Ms capped
-// by MaxDeadline, DefaultDeadline when absent or unparsable.
-func (s *Server) requestDeadline(r *http.Request) time.Duration {
-	d := s.cfg.DefaultDeadline
-	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			d = time.Duration(ms) * time.Millisecond
-		}
-	}
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
+// deadlineFor resolves a request's deadline from the milliseconds its client
+// asked for (X-Deadline-Ms, a frame's deadline field): DefaultDeadline when
+// none (0), capped by MaxDeadline.
+func (s *Server) deadlineFor(ms uint64) time.Duration {
+	d := s.cfg.MaxDeadline
+	switch {
+	case ms == 0:
+		d = min(d, s.cfg.DefaultDeadline)
+	case ms < uint64(d/time.Millisecond):
+		d = time.Duration(ms) * time.Millisecond
 	}
 	return d
 }
 
-// handleDecide is the decision endpoint. Admission runs once per HTTP
-// request, in fixed order — drain gate, token bucket (429), slot pool
-// (503) — before any tenant state is touched. The body is either a single
-// JSON request or, with Content-Type application/x-ndjson, a stream of
-// them served in order on one connection (each line gets its own deadline;
-// errors are reported per line and do not end the stream).
+// The serve pipeline (DESIGN.md §13, §16). Every transport — a JSON body,
+// an NDJSON line, a demoted JSON value on the stream port, a wire frame —
+// is a codec over the same stages:
+//
+//	admit ─► validate ─► tenant coalescer ─► group serve ─► commit ─► fill
+//
+// admit runs once per admitted unit (an HTTP body, NDJSON included; a
+// demoted JSON value; a wire frame). validate and everything after it run
+// per request. The transport then waits on the request (await) and encodes
+// the outcome its own way.
+
+// request is one decide request on its way through the pipeline. The
+// transport sets the inputs and hands it to its tenant's coalescer; then
+// exactly one party fills the outcome and closes done — the group server,
+// or the transport itself when it refuses the request first. A waiter that
+// gave up at the deadline never reads the outcome again.
+type request struct {
+	tenant   *tenant
+	reqID    string
+	obs      []moe.Observation
+	deadline time.Time
+	done     chan struct{}
+
+	// Wire frames only: the sequence number the response echoes, the
+	// admission time, and whether the frame holds a concurrency slot until
+	// its response is written.
+	seq       uint64
+	start     time.Time
+	holdsSlot bool
+
+	decisions int64 // the tenant's decision count after this request's last observation
+	threads   []int
+	deduped   bool
+	err       *apiError
+}
+
+func newRequest(now time.Time, deadline time.Duration) *request {
+	return &request{deadline: now.Add(deadline), done: make(chan struct{})}
+}
+
+// fail answers r with e.
+func (r *request) fail(e *apiError) {
+	r.err = e
+	close(r.done)
+}
+
+func failGroup(group []*request, e *apiError) {
+	for _, r := range group {
+		r.fail(e)
+	}
+}
+
+// admit is the admission gate, in fixed order: drain gate, role gates,
+// token bucket (429), slot pool (503). It touches no tenant state. On nil
+// the caller holds one concurrency slot, returned with releaseSlot.
+func (s *Server) admit(now time.Time) *apiError {
+	if s.draining.Load() {
+		return s.shed("draining", http.StatusServiceUnavailable, "server is draining", time.Second)
+	}
+	// Role gates: a standby holds replicated lineages but no live runtimes
+	// until promoted; a deposed primary must stop acking decisions the
+	// moment a promoted standby fences it — acks here would fork history.
+	if !s.serving.Load() {
+		return s.shed("standby", http.StatusServiceUnavailable, "standby; not serving until promoted", time.Second)
+	}
+	if s.primary != nil && s.primary.Deposed() {
+		return s.shed("deposed", http.StatusServiceUnavailable, "deposed by promoted standby", time.Second)
+	}
+	if ok, retry := s.bucket.take(now); !ok {
+		return s.shed("rate", http.StatusTooManyRequests, "request rate over limit", retry)
+	}
+	if !s.slots.tryAcquire() {
+		return s.shed("capacity", http.StatusServiceUnavailable, "all decision slots busy", 100*time.Millisecond)
+	}
+	s.metrics.inflight.Set(float64(s.slots.inUse()))
+	return nil
+}
+
+func (s *Server) releaseSlot() {
+	s.slots.release()
+	s.metrics.inflight.Set(float64(s.slots.inUse()))
+}
+
+// maxRequestID bounds client request IDs (they are journaled).
+const maxRequestID = 128
+
+// validate checks an admitted request of n observations — non-empty, within
+// MaxBatch, request ID within its cap — and resolves its tenant.
+func (s *Server) validate(tenantID, reqID string, n int) (*tenant, *apiError) {
+	if n == 0 {
+		return nil, badRequest("no observations")
+	}
+	if n > s.cfg.MaxBatch {
+		return nil, badRequest(fmt.Sprintf("batch of %d observations over the %d cap", n, s.cfg.MaxBatch))
+	}
+	if len(reqID) > maxRequestID {
+		return nil, badRequest(fmt.Sprintf("request_id of %d bytes over the %d cap", len(reqID), maxRequestID))
+	}
+	return s.tenant(tenantID)
+}
+
+// await waits for r's outcome until r's deadline and returns the refusal to
+// answer with, nil when r was served. It is the only place a deadline miss
+// is counted.
+func (s *Server) await(r *request) *apiError {
+	select {
+	case <-r.done:
+	default:
+		tm := time.NewTimer(time.Until(r.deadline))
+		select {
+		case <-r.done:
+			tm.Stop()
+		case <-tm.C:
+			// The request may still be served later — harmless: its outcome
+			// is never read again, and a wedged batch is the watchdog's.
+			s.metrics.deadlineExceeded.Inc()
+			return errDeadline
+		}
+	}
+	if r.err == errDeadline {
+		s.metrics.deadlineExceeded.Inc()
+	}
+	return r.err
+}
+
+// handleDecide is the decision endpoint. The body is admitted once, before
+// any tenant state is touched; it is either a single JSON request or, with
+// Content-Type application/x-ndjson, a stream of them served in order on
+// one connection (each line gets its own deadline; errors are reported per
+// line and do not end the stream).
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	status := http.StatusOK
@@ -321,46 +455,18 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	// final per-tenant snapshots — never half-drained.
 	s.inflight.Add(1)
 	defer s.inflight.Done()
-	if s.draining.Load() {
-		e := s.shed("draining", http.StatusServiceUnavailable, "server is draining", time.Second)
+	if e := s.admit(start); e != nil {
 		status = e.status
 		s.writeError(w, e)
 		return
 	}
-	// Role gates: a standby holds replicated lineages but no live runtimes
-	// until promoted; a deposed primary must stop acking decisions the
-	// moment a promoted standby fences it — acks here would fork history.
-	if !s.serving.Load() {
-		e := s.shed("standby", http.StatusServiceUnavailable, "standby; not serving until promoted", time.Second)
-		status = e.status
-		s.writeError(w, e)
-		return
-	}
-	if s.primary != nil && s.primary.Deposed() {
-		e := s.shed("deposed", http.StatusServiceUnavailable, "deposed by promoted standby", time.Second)
-		status = e.status
-		s.writeError(w, e)
-		return
-	}
-	if ok, retry := s.bucket.take(time.Now()); !ok {
-		e := s.shed("rate", http.StatusTooManyRequests, "request rate over limit", retry)
-		status = e.status
-		s.writeError(w, e)
-		return
-	}
-	if !s.slots.tryAcquire() {
-		e := s.shed("capacity", http.StatusServiceUnavailable, "all decision slots busy", 100*time.Millisecond)
-		status = e.status
-		s.writeError(w, e)
-		return
-	}
-	s.metrics.inflight.Set(float64(s.slots.inUse()))
-	defer func() {
-		s.slots.release()
-		s.metrics.inflight.Set(float64(s.slots.inUse()))
-	}()
+	defer s.releaseSlot()
 
-	deadline := s.requestDeadline(r)
+	ms, err := strconv.ParseUint(r.Header.Get("X-Deadline-Ms"), 10, 64)
+	if err != nil {
+		ms = 0 // absent or unparsable
+	}
+	deadline := s.deadlineFor(ms)
 	// Parse the media type properly: "application/x-ndjson; charset=utf-8"
 	// is NDJSON too, and an exact string match would silently mis-route it
 	// to the single-JSON path (where the second line is trailing garbage).
@@ -371,15 +477,13 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	var req decideRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
 		status = http.StatusBadRequest
-		s.writeError(w, &apiError{status: status, code: "bad-request", msg: "malformed JSON: " + err.Error()})
+		s.writeError(w, badRequest("malformed JSON: "+err.Error()))
 		return
 	}
 	if req.RequestID == "" {
 		req.RequestID = r.Header.Get("X-Request-Id")
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-	resp, aerr := s.serveOne(ctx, &req)
+	resp, aerr := s.serveJSON(&req, deadline)
 	if aerr != nil {
 		status = aerr.status
 		s.writeError(w, aerr)
@@ -421,11 +525,8 @@ func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, deadline ti
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	for i := range reqs {
-		ctx, cancel := context.WithTimeout(r.Context(), deadline)
-		resp, aerr := s.serveOne(ctx, &reqs[i])
-		cancel()
-		if aerr != nil {
-			enc.Encode(errorResponse{Error: aerr.msg, Code: aerr.code, RetryAfterMs: aerr.retryAfter.Milliseconds()})
+		if resp, aerr := s.serveJSON(&reqs[i], deadline); aerr != nil {
+			enc.Encode(aerr.response())
 		} else {
 			enc.Encode(resp)
 		}
@@ -438,165 +539,29 @@ func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, deadline ti
 	}
 }
 
-// serveOne validates and serves a single decide request body.
-func (s *Server) serveOne(ctx context.Context, req *decideRequest) (*decideResponse, *apiError) {
-	if len(req.Observations) == 0 {
-		return nil, &apiError{status: 400, code: "bad-request", msg: "no observations"}
+// serveJSON is the JSON codec over the pipeline for one admitted request —
+// a body, an NDJSON line or a demoted value: validate, convert, hand to the
+// tenant's coalescer, and wait for the outcome until the deadline.
+func (s *Server) serveJSON(req *decideRequest, deadline time.Duration) (*decideResponse, *apiError) {
+	t, aerr := s.validate(req.Tenant, req.RequestID, len(req.Observations))
+	if aerr != nil {
+		return nil, aerr
 	}
-	if len(req.Observations) > s.cfg.MaxBatch {
-		return nil, &apiError{status: 400, code: "bad-request",
-			msg: fmt.Sprintf("batch of %d observations over the %d cap", len(req.Observations), s.cfg.MaxBatch)}
-	}
-	obs := make([]moe.Observation, len(req.Observations))
+	r := newRequest(time.Now(), deadline)
+	r.tenant, r.reqID = t, req.RequestID
+	r.obs = make([]moe.Observation, len(req.Observations))
 	for i := range req.Observations {
 		o, err := req.Observations[i].toObs()
 		if err != nil {
-			return nil, &apiError{status: 400, code: "bad-request", msg: err.Error()}
+			return nil, badRequest(err.Error())
 		}
-		obs[i] = o
+		r.obs[i] = o
 	}
-	if len(req.RequestID) > maxRequestID {
-		return nil, &apiError{status: 400, code: "bad-request",
-			msg: fmt.Sprintf("request_id of %d bytes over the %d cap", len(req.RequestID), maxRequestID)}
-	}
-	t, aerr := s.tenant(req.Tenant)
-	if aerr != nil {
+	s.enqueue(r)
+	if aerr := s.await(r); aerr != nil {
 		return nil, aerr
 	}
-	res, aerr := s.decideTenant(ctx, t, req.RequestID, obs)
-	if aerr != nil {
-		return nil, aerr
-	}
-	if res.deduped {
-		return &decideResponse{Tenant: t.id, Threads: res.threads,
-			Decisions: res.decisions, Deduped: true}, nil
-	}
-	t.mu.Lock()
-	served := t.served
-	t.mu.Unlock()
-	return &decideResponse{Tenant: t.id, Threads: res.threads, Decisions: served}, nil
-}
-
-// maxRequestID bounds client request IDs (they are journaled).
-const maxRequestID = 128
-
-// decideResult is what the decide worker hands back (or leaves behind,
-// if the handler gave up on it).
-type decideResult struct {
-	threads   []int
-	decisions int64 // runtime's lifetime decision count (survives resume)
-	panicked  string
-	// deposed: the commit flush was refused by a promoted standby. The
-	// decision ran locally but must NOT be acked — an ack here would fork
-	// acked history between the fenced primary and the new one.
-	deposed bool
-	// deduped: answered from the idempotency window; the runtime did not
-	// advance and decisions holds the original ack's count.
-	deduped bool
-}
-
-// decideTenant runs one batch on tenant t: breaker gate, core (re)build,
-// the tenant's single decision slot, then the batch itself — all bounded
-// by ctx.
-func (s *Server) decideTenant(ctx context.Context, t *tenant, reqID string, obs []moe.Observation) (*decideResult, *apiError) {
-	t.mu.Lock()
-	ok, retry := t.brk.admit(time.Now())
-	t.setStateLocked()
-	t.mu.Unlock()
-	if !ok {
-		return nil, s.shed("quarantined", http.StatusServiceUnavailable, "tenant quarantined after fault", retry)
-	}
-	for attempt := 0; ; attempt++ {
-		core, aerr := s.ensureCore(ctx, t)
-		if aerr != nil {
-			return nil, aerr
-		}
-		select {
-		case core.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, s.deadline()
-		}
-		// The generation may have been recycled while we waited on its
-		// slot; serving on it would resurrect an abandoned timeline.
-		t.mu.Lock()
-		stale := t.core != core
-		if !stale {
-			t.busySince = time.Now()
-		}
-		t.mu.Unlock()
-		if stale {
-			<-core.sem
-			if attempt < 2 {
-				continue
-			}
-			return nil, s.shed("recycled", http.StatusServiceUnavailable, "tenant recycling", s.cfg.BreakerBackoff)
-		}
-		// Idempotency check, under the decision slot and after the core (and
-		// with it the journal-recovered window) exists: a request ID we
-		// already acked answers from the window — the runtime must not
-		// advance twice for one logical request, whether the retry hits this
-		// process, a restarted one, or a promoted standby. Holding the slot
-		// serializes the lookup against a concurrent twin's commit.
-		if reqID != "" {
-			t.mu.Lock()
-			hit, ok := t.dedup.lookup(reqID)
-			if ok {
-				t.busySince = time.Time{}
-			}
-			t.mu.Unlock()
-			if ok {
-				<-core.sem
-				s.metrics.dedupHits.Inc()
-				return &decideResult{threads: hit.Threads, decisions: int64(hit.Decisions), deduped: true}, nil
-			}
-		}
-		return s.runDecide(ctx, t, core, reqID, obs)
-	}
-}
-
-// runDecide executes the batch on the generation's decide worker so the
-// handler can abandon it at the deadline without killing it: the decision
-// keeps running (the watchdog deals with it if it never finishes),
-// bookkeeping happens in finishDecide either way, and the tenant's slot is
-// released only when the batch is truly done.
-func (s *Server) runDecide(ctx context.Context, t *tenant, core *tenantCore, reqID string, obs []moe.Observation) (*decideResult, *apiError) {
-	done := make(chan *decideResult, 1)
-	s.runOnWorker(core, func() {
-		res := &decideResult{}
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					res.panicked = fmt.Sprint(p)
-					res.threads = nil
-				}
-			}()
-			res.threads = core.rt.DecideBatch(obs)
-			res.decisions = int64(core.rt.Decisions())
-		}()
-		// Commit before the handler is released: the dedup marker must be
-		// journaled behind the batch's own entries, and the replication
-		// group must be flushed, before the client can see the ack.
-		s.commitBatch(t, core, reqID, res)
-		s.finishDecide(t, core, res)
-		done <- res
-		<-core.sem
-	})
-	select {
-	case res := <-done:
-		if res.panicked != "" {
-			return nil, &apiError{status: http.StatusInternalServerError, code: "tenant-fault",
-				msg: "tenant decision faulted; tenant quarantined", retryAfter: s.jit.spread(s.cfg.BreakerBackoff)}
-		}
-		if res.deposed {
-			return nil, s.shed("deposed", http.StatusServiceUnavailable,
-				"deposed by promoted standby; decision not acknowledged", time.Second)
-		}
-		return res, nil
-	case <-ctx.Done():
-		// The batch may still be running — or wedged. It owns the slot and
-		// the generation until it finishes or the watchdog recycles it.
-		return nil, s.deadline()
-	}
+	return &decideResponse{Tenant: t.id, Threads: r.threads, Decisions: r.decisions, Deduped: r.deduped}, nil
 }
 
 // handleTenants lists tenants and their envelope state, sorted by ID.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,30 +12,23 @@ import (
 	"time"
 
 	"moe"
-	"moe/internal/checkpoint"
 	"moe/internal/telemetry"
 	"moe/internal/wire"
 )
 
-// The streaming transport (DESIGN.md §16). One connection carries many
-// decide frames; the session splits into two goroutine halves joined by an
-// arrival-ordered slot queue:
+// The streaming transport (DESIGN.md §16): the wire codec over the serve
+// pipeline. One connection carries many decide frames; the session splits
+// into two goroutine halves joined by an arrival-ordered request queue:
 //
-//	decode loop ──► per-tenant coalescer ──► decide worker
-//	     │                                        │ fills slot
-//	     └────────── order queue ──► write loop ◄─┘
+//	decode loop ──► admit, validate ──► tenant coalescer ──► group serve
+//	     │                                                       │ fills
+//	     └──────────────── order queue ──► write loop ◄──────────┘
 //
-// The decode loop parses frames and runs the same admission envelope the
-// HTTP path runs per request — drain gate, role gates, token bucket, slot
-// pool, per-frame deadline, then tenant breaker/dedup under the tenant's
-// decision slot — except refusals become per-frame error frames instead of
-// HTTP statuses. Admitted frames enter the tenant's coalescer: frames that
-// arrive while the tenant's decision slot is busy merge into one
-// DecideBatch (byte-identical to serving them back to back — the PR 6
-// batch contract), amortizing slot churn, journal commit, and replica
-// flush across the group. Responses are written strictly in frame arrival
-// order by a single writer that flushes once per quiet edge, so a
-// coalesced group costs one syscall, not one per frame.
+// The decode loop parses frames and admits each one on its own; refusals
+// become per-frame error frames instead of HTTP statuses. Responses are
+// written strictly in frame arrival order by a single writer that flushes
+// once per quiet edge, so a coalesced group costs one syscall, not one per
+// frame.
 
 // streamMetrics is the serve_stream_* family.
 type streamMetrics struct {
@@ -58,37 +50,14 @@ func (m *streamMetrics) init(reg *telemetry.Registry) {
 	m.bytesIn = reg.Counter("serve_stream_bytes_total", "Stream bytes by direction.", "dir", "in")
 	m.bytesOut = reg.Counter("serve_stream_bytes_total", "Stream bytes by direction.", "dir", "out")
 	m.coalesced = reg.Histogram("serve_stream_coalesced_batch",
-		"Decide frames merged into one DecideBatch by the per-tenant coalescer.",
+		"Decide requests of every transport merged into one DecideBatch by the per-tenant coalescer.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
 	m.demotions = reg.Counter("serve_stream_demotions_total",
 		"Stream sessions demoted to the JSON ladder at handshake.")
 	m.gcFsyncs = reg.Counter("serve_stream_group_commit_fsyncs_total",
-		"Journal fsyncs issued by batch commits, JSON and stream alike.")
+		"Journal fsyncs issued by group commits, every transport alike.")
 	m.gcSaved = reg.Counter("serve_stream_group_commit_fsyncs_saved_total",
-		"Journal fsyncs avoided by group commit (vs per-append fsync).")
-}
-
-// streamSlot is one frame's place in the response order. The decode loop
-// enqueues it, exactly one producer fills buf and closes done, and the
-// writer — the only reader of buf — writes it in arrival order, or gives
-// up at the slot's deadline and never looks at buf again.
-type streamSlot struct {
-	seq       uint64
-	start     time.Time
-	deadline  time.Time
-	holdsSlot bool // owns a server concurrency slot until written
-	buf       []byte
-	done      chan struct{}
-}
-
-// streamReq is an admitted decide frame on its way through a tenant
-// coalescer; the decide worker fills decisions/threads for the commit.
-type streamReq struct {
-	reqID     string
-	obs       []moe.Observation
-	slot      *streamSlot
-	decisions int64
-	threads   []int
+		"Journal fsyncs avoided by group commit (vs per-append fsync), every transport alike.")
 }
 
 // session is one streaming connection.
@@ -96,8 +65,8 @@ type session struct {
 	s       *Server
 	conn    net.Conn
 	bw      *bufio.Writer
-	order   chan *streamSlot
-	scratch []byte // writer-owned encode buffer for timeout error frames
+	order   chan *request
+	scratch []byte // writer-owned encode buffer for response frames
 	werr    error  // first write error; later writes are swallowed
 }
 
@@ -175,7 +144,7 @@ func (s *Server) runSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 	s.stream.sessions.Add(1)
 	defer s.stream.sessions.Add(-1)
 
-	sess := &session{s: s, conn: conn, bw: bw, order: make(chan *streamSlot, s.cfg.MaxInflight+16)}
+	sess := &session{s: s, conn: conn, bw: bw, order: make(chan *request, s.cfg.MaxInflight+16)}
 
 	// First bytes decide the protocol: a wire hello opens a framed
 	// session; anything else (a '{' from a JSON client, typically) demotes
@@ -272,29 +241,18 @@ func (sess *session) decodeLoop(rd *wire.Reader) {
 	}
 }
 
-// enqueueError creates, fills, and queues an error slot in one step
-// (refusals that never reach a tenant).
+// enqueueError queues a refusal for a frame that never reached admission.
 func (sess *session) enqueueError(seq uint64, now time.Time, e *apiError) {
 	sess.s.inflight.Add(1)
-	slot := &streamSlot{seq: seq, start: now, deadline: now.Add(sess.s.cfg.DefaultDeadline), done: make(chan struct{})}
-	fillAPIError(slot, e)
-	sess.order <- slot
+	r := newRequest(now, sess.s.cfg.DefaultDeadline)
+	r.seq, r.start = seq, now
+	r.fail(e)
+	sess.order <- r
 }
 
-func fillAPIError(slot *streamSlot, e *apiError) {
-	slot.buf = wire.AppendError(slot.buf[:0], slot.seq, e.retryAfter.Milliseconds(), e.code, e.msg)
-	close(slot.done)
-}
-
-func fillResult(slot *streamSlot, decisions int64, threads []int, deduped bool) {
-	r := wire.Result{Seq: slot.seq, Decisions: decisions, Deduped: deduped, Threads: threads}
-	slot.buf = wire.AppendResult(slot.buf[:0], &r)
-	close(slot.done)
-}
-
-// handleDecideFrame runs one decide frame through the admission envelope —
-// the same gates, in the same order, as the HTTP path — and either fills
-// its slot with a refusal or hands it to the tenant's coalescer.
+// handleDecideFrame is the wire codec's decode side: it builds the frame's
+// request, runs it through admission and validation, and hands it to its
+// tenant's coalescer — or answers it with the refusal — in arrival order.
 func (sess *session) handleDecideFrame(payload []byte, req *wire.Decide) {
 	s := sess.s
 	now := time.Now()
@@ -302,109 +260,57 @@ func (sess *session) handleDecideFrame(payload []byte, req *wire.Decide) {
 		// The frame passed its checksum, so this is a malformed payload
 		// from a confused client, not line noise: refuse it, keep the
 		// session.
-		sess.enqueueError(req.Seq, now, &apiError{status: 400, code: "bad-request", msg: err.Error()})
+		sess.enqueueError(req.Seq, now, badRequest(err.Error()))
 		return
 	}
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMs > 0 {
-		deadline = time.Duration(req.DeadlineMs) * time.Millisecond
-	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
+	deadline := s.deadlineFor(req.DeadlineMs)
 	// Joining the in-flight group before the drain gate gives streams the
 	// same guarantee HTTP requests get: every admitted frame is flushed
 	// (and journaled) before the drain's final snapshots.
 	s.inflight.Add(1)
-	slot := &streamSlot{seq: req.Seq, start: now, deadline: now.Add(deadline), done: make(chan struct{})}
-	if e := sess.admitFrame(slot, req, now); e != nil {
-		fillAPIError(slot, e)
+	r := newRequest(now, deadline)
+	r.seq, r.start = req.Seq, now
+	if aerr := s.admit(now); aerr != nil {
+		r.fail(aerr)
+	} else {
+		r.holdsSlot = true
+		r.reqID = string(req.RequestID)
+		if t, aerr := s.validate(string(req.Tenant), r.reqID, len(req.Obs)); aerr != nil {
+			r.fail(aerr)
+		} else {
+			r.tenant = t
+			// req.Obs aliases the frame read buffer; the coalescer outlives it.
+			r.obs = append([]moe.Observation(nil), req.Obs...)
+			s.enqueue(r)
+		}
 	}
-	sess.order <- slot
+	sess.order <- r
 }
 
-// admitFrame is the per-frame envelope: gates, bucket, slots, validation,
-// tenant routing. nil means the frame reached its tenant's coalescer and
-// something downstream now owns the slot fill.
-func (sess *session) admitFrame(slot *streamSlot, req *wire.Decide, now time.Time) *apiError {
-	s := sess.s
-	if s.draining.Load() {
-		return s.shed("draining", http.StatusServiceUnavailable, "server is draining", time.Second)
-	}
-	if !s.serving.Load() {
-		return s.shed("standby", http.StatusServiceUnavailable, "standby; not serving until promoted", time.Second)
-	}
-	if s.primary != nil && s.primary.Deposed() {
-		return s.shed("deposed", http.StatusServiceUnavailable, "deposed by promoted standby", time.Second)
-	}
-	if ok, retry := s.bucket.take(now); !ok {
-		return s.shed("rate", http.StatusTooManyRequests, "request rate over limit", retry)
-	}
-	if !s.slots.tryAcquire() {
-		return s.shed("capacity", http.StatusServiceUnavailable, "all decision slots busy", 100*time.Millisecond)
-	}
-	slot.holdsSlot = true
-	s.metrics.inflight.Set(float64(s.slots.inUse()))
-	if len(req.Obs) == 0 {
-		return &apiError{status: 400, code: "bad-request", msg: "no observations"}
-	}
-	if len(req.Obs) > s.cfg.MaxBatch {
-		return &apiError{status: 400, code: "bad-request",
-			msg: fmt.Sprintf("batch of %d observations over the %d cap", len(req.Obs), s.cfg.MaxBatch)}
-	}
-	if len(req.RequestID) > maxRequestID {
-		return &apiError{status: 400, code: "bad-request",
-			msg: fmt.Sprintf("request_id of %d bytes over the %d cap", len(req.RequestID), maxRequestID)}
-	}
-	t, aerr := s.tenant(string(req.Tenant))
-	if aerr != nil {
-		return aerr
-	}
-	s.enqueueStream(t, &streamReq{
-		reqID: string(req.RequestID),
-		// req.Obs aliases the frame read buffer; the coalescer outlives it.
-		obs:  append([]moe.Observation(nil), req.Obs...),
-		slot: slot,
-	})
-	return nil
-}
-
-// writeLoop is the session's single writer: slots leave in arrival order,
-// each waiting out at most its own deadline. The buffered writer is
-// flushed on quiet edges — when the queue momentarily empties — so a
-// coalesced group's responses share one flush.
+// writeLoop is the session's single writer and the wire codec's encode
+// side: requests leave in arrival order, each awaited until at most its own
+// deadline. The buffered writer is flushed on quiet edges — when the queue
+// momentarily empties — so a coalesced group's responses share one flush.
 func (sess *session) writeLoop() {
 	s := sess.s
-	for slot := range sess.order {
-		select {
-		case <-slot.done:
-		default:
-			wait := time.Until(slot.deadline)
-			if wait < 0 {
-				wait = 0
-			}
-			tm := time.NewTimer(wait)
-			select {
-			case <-slot.done:
-				tm.Stop()
-			case <-tm.C:
-				// Deadline: the decide may still land in the slot later —
-				// harmless, this writer never reads it again. Mirror of the
-				// HTTP 504-and-abandon path.
-				e := s.deadline()
-				sess.scratch = wire.AppendError(sess.scratch[:0], slot.seq, 0, e.code, e.msg)
-				sess.write(sess.scratch)
-				sess.finishSlot(slot)
-				continue
-			}
+	for r := range sess.order {
+		if aerr := s.await(r); aerr != nil {
+			sess.scratch = wire.AppendError(sess.scratch[:0], r.seq, aerr.retryAfter.Milliseconds(), aerr.code, aerr.msg)
+		} else {
+			res := wire.Result{Seq: r.seq, Decisions: r.decisions, Deduped: r.deduped, Threads: r.threads}
+			sess.scratch = wire.AppendResult(sess.scratch[:0], &res)
 		}
-		sess.write(slot.buf)
-		sess.finishSlot(slot)
+		sess.write(sess.scratch)
+		if r.holdsSlot {
+			s.releaseSlot()
+		}
+		s.metrics.requestSeconds.Observe(time.Since(r.start).Seconds())
+		s.inflight.Done()
 	}
 }
 
 // write appends one frame to the buffered writer, flushing on quiet edges.
-// After the first connection error, frames are dropped silently: slots
+// After the first connection error, frames are dropped silently: requests
 // still drain (their resources must be released) but the peer is gone.
 func (sess *session) write(frame []byte) {
 	if sess.werr == nil {
@@ -422,299 +328,10 @@ func (sess *session) write(frame []byte) {
 	}
 }
 
-// finishSlot releases what the slot holds: the server concurrency slot and
-// its in-flight group membership.
-func (sess *session) finishSlot(slot *streamSlot) {
-	s := sess.s
-	if slot.holdsSlot {
-		s.slots.release()
-		s.metrics.inflight.Set(float64(s.slots.inUse()))
-	}
-	s.metrics.requestSeconds.Observe(time.Since(slot.start).Seconds())
-	s.inflight.Done()
-}
-
-// enqueueStream adds an admitted frame to the tenant's coalescer and wakes
-// its flusher, starting one if none is running. The flusher drains groups
-// until the pending queue is empty, then parks; frames that arrive while a
-// group is being decided merge into the next group.
-func (s *Server) enqueueStream(t *tenant, r *streamReq) {
-	t.coalMu.Lock()
-	t.coalPending = append(t.coalPending, r)
-	spawn := !t.coalActive
-	t.coalActive = true
-	t.coalMu.Unlock()
-	if spawn {
-		go s.streamFlusher(t)
-		return
-	}
-	select {
-	case t.coalWake <- struct{}{}:
-	default: // a wake-up is already pending
-	}
-}
-
-// streamFlusher is the tenant's resident flusher. It exits only once the
-// server has stopped and the queue is empty; a later enqueue (a drain's
-// in-flight tail) starts a fresh one.
-func (s *Server) streamFlusher(t *tenant) {
-	for {
-		t.coalMu.Lock()
-		group := t.coalPending
-		t.coalPending = nil
-		t.coalMu.Unlock()
-		if len(group) == 0 {
-			select {
-			case <-t.coalWake:
-				continue
-			case <-s.stop:
-			}
-			t.coalMu.Lock()
-			if len(t.coalPending) == 0 {
-				t.coalActive = false
-				t.coalMu.Unlock()
-				return
-			}
-			t.coalMu.Unlock()
-			continue
-		}
-		if s.cfg.DisableStreamCoalesce {
-			for _, r := range group {
-				s.streamServeGroup(t, []*streamReq{r})
-			}
-		} else {
-			s.streamServeGroup(t, group)
-		}
-	}
-}
-
-// streamServeGroup serves one coalesced group on tenant t: breaker gate,
-// core acquisition, dedup pass, then one merged DecideBatch whose commit —
-// dedup markers, group-commit journal sync, replica flush — is shared by
-// every member. The batch itself runs on the generation's decide worker so
-// a wedged tenant wedges at most this group: the flusher times out at the
-// group's latest deadline and moves on (the writer has already answered
-// the members with deadline errors), and the watchdog owns the stuck
-// generation — exactly the HTTP path's abandonment semantics.
-func (s *Server) streamServeGroup(t *tenant, group []*streamReq) {
-	now := time.Now()
-	t.mu.Lock()
-	ok, retry := t.brk.admit(now)
-	t.setStateLocked()
-	t.mu.Unlock()
-	if !ok {
-		for range group {
-			// Count each member's refusal, as the HTTP path would.
-			s.metrics.shed("quarantined").Inc()
-		}
-		e := &apiError{status: http.StatusServiceUnavailable, code: "quarantined",
-			msg: "tenant quarantined after fault", retryAfter: s.jit.spread(retry)}
-		failGroup(group, e)
-		return
-	}
-	latest := group[0].slot.deadline
-	for _, r := range group[1:] {
-		if r.slot.deadline.After(latest) {
-			latest = r.slot.deadline
-		}
-	}
-	ctx, cancel := context.WithDeadline(context.Background(), latest)
-	defer cancel()
-
-	var core *tenantCore
-	for attempt := 0; ; attempt++ {
-		c, aerr := s.ensureCore(ctx, t)
-		if aerr != nil {
-			failGroup(group, aerr)
-			return
-		}
-		select {
-		case c.sem <- struct{}{}:
-		case <-ctx.Done():
-			for _, r := range group {
-				fillAPIError(r.slot, s.deadline())
-			}
-			return
-		}
-		t.mu.Lock()
-		stale := t.core != c
-		if !stale {
-			t.busySince = time.Now()
-		}
-		t.mu.Unlock()
-		if !stale {
-			core = c
-			break
-		}
-		<-c.sem
-		if attempt < 2 {
-			continue
-		}
-		failGroup(group, s.shed("recycled", http.StatusServiceUnavailable, "tenant recycling", s.cfg.BreakerBackoff))
-		return
-	}
-
-	// Dedup pass under the tenant lock, holding the decision slot (the
-	// same serialization the HTTP path gets from core.sem): window hits
-	// answer immediately; in-group duplicates of an executing ID defer to
-	// the freshly committed window after the batch.
-	exec := make([]*streamReq, 0, len(group))
-	var late []*streamReq
-	var seen map[string]bool
-	dedupOn := s.cfg.DedupWindow > 0
-	t.mu.Lock()
-	for _, r := range group {
-		if dedupOn && r.reqID != "" {
-			if hit, ok := t.dedup.lookup(r.reqID); ok {
-				fillResult(r.slot, int64(hit.Decisions), hit.Threads, true)
-				s.metrics.dedupHits.Inc()
-				continue
-			}
-			if seen[r.reqID] {
-				late = append(late, r)
-				continue
-			}
-			if seen == nil {
-				seen = make(map[string]bool)
-			}
-			seen[r.reqID] = true
-		}
-		exec = append(exec, r)
-	}
-	if len(exec) == 0 {
-		t.busySince = time.Time{}
-		t.mu.Unlock()
-		<-core.sem
-		return
-	}
-	t.mu.Unlock()
-	s.stream.coalesced.Observe(float64(len(exec)))
-
-	total := 0
-	for _, r := range exec {
-		total += len(r.obs)
-	}
-	done := make(chan struct{})
-	s.runOnWorker(core, func() {
-		defer close(done)
-		merged := make([]moe.Observation, 0, total)
-		for _, r := range exec {
-			merged = append(merged, r.obs...)
-		}
-		res := &decideResult{}
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					res.panicked = fmt.Sprint(p)
-					res.threads = nil
-				}
-			}()
-			res.threads = core.rt.DecideBatch(merged)
-			res.decisions = int64(core.rt.Decisions())
-		}()
-		s.commitStreamGroup(t, core, exec, res)
-		s.finishDecide(t, core, res)
-		s.fillStreamGroup(t, exec, late, res)
-		<-core.sem
-	})
-	wait := time.Until(latest)
-	if wait < 0 {
-		wait = 0
-	}
-	tm := time.NewTimer(wait + 50*time.Millisecond)
-	select {
-	case <-done:
-		tm.Stop()
-	case <-tm.C:
-		// The group is past every member's deadline (the writer has told
-		// them so). Leave the decide worker to the watchdog and serve
-		// the next group — on this generation if it recovers, on the
-		// rebuilt one otherwise.
-	}
-}
-
-func failGroup(group []*streamReq, e *apiError) {
-	for _, r := range group {
-		fillAPIError(r.slot, e)
-	}
-}
-
-// commitStreamGroup is commitBatch for a coalesced group: per-member dedup
-// markers journaled behind the merged batch's entries, then one commit for
-// the whole group — before any member's ack can be written. Per-member
-// decision counts and thread sub-slices fall out of prefix sums over the
-// merged result (DecideBatch answers one decision per observation, in
-// order).
-func (s *Server) commitStreamGroup(t *tenant, core *tenantCore, exec []*streamReq, res *decideResult) {
-	if res.panicked != "" || !t.serves(core) {
-		return
-	}
-	cerr := core.rt.CheckpointErr()
-	off := 0
-	count := res.decisions - int64(len(res.threads))
-	for _, r := range exec {
-		sub := res.threads[off : off+len(r.obs)]
-		off += len(r.obs)
-		count += int64(len(r.obs))
-		r.decisions = count
-		r.threads = sub
-		if r.reqID != "" {
-			cerr = s.markDedup(t, core, checkpoint.DedupEntry{ID: r.reqID, Decisions: int(count), Threads: sub}, cerr)
-		}
-	}
-	s.commit(t, core, cerr, res)
-}
-
-// fillStreamGroup answers every member after the commit: results for the
-// executed members, window answers for in-group duplicates, one shared
-// fault for all of them when the batch panicked or the ack was fenced.
-func (s *Server) fillStreamGroup(t *tenant, exec, late []*streamReq, res *decideResult) {
-	if res.panicked != "" {
-		e := &apiError{status: http.StatusInternalServerError, code: "tenant-fault",
-			msg: "tenant decision faulted; tenant quarantined", retryAfter: s.jit.spread(s.cfg.BreakerBackoff)}
-		for _, r := range exec {
-			fillAPIError(r.slot, e)
-		}
-		for _, r := range late {
-			fillAPIError(r.slot, e)
-		}
-		return
-	}
-	if res.deposed {
-		for _, r := range exec {
-			fillAPIError(r.slot, s.shed("deposed", http.StatusServiceUnavailable,
-				"deposed by promoted standby; decision not acknowledged", time.Second))
-		}
-		for _, r := range late {
-			fillAPIError(r.slot, s.shed("deposed", http.StatusServiceUnavailable,
-				"deposed by promoted standby; decision not acknowledged", time.Second))
-		}
-		return
-	}
-	for _, r := range exec {
-		fillResult(r.slot, r.decisions, r.threads, false)
-	}
-	for _, r := range late {
-		t.mu.Lock()
-		hit, ok := t.dedup.lookup(r.reqID)
-		t.mu.Unlock()
-		if ok {
-			fillResult(r.slot, int64(hit.Decisions), hit.Threads, true)
-			s.metrics.dedupHits.Inc()
-		} else {
-			// The twin it deferred to committed, but the window has already
-			// evicted it (pathologically small window): refuse rather than
-			// decide twice under one ID.
-			fillAPIError(r.slot, &apiError{status: http.StatusConflict, code: "dedup-evicted",
-				msg: "duplicate request id raced its twin out of the dedup window"})
-		}
-	}
-}
-
 // serveDemoted serves the JSON ladder on a stream connection that never
-// spoke wire: each JSON value on the stream is a decide request run
-// through the same envelope, answered as one JSON line, flushed as it
-// goes. EOF ends the session.
+// spoke wire: each JSON value on the stream is admitted on its own and
+// served as a JSON request, answered as one JSON line, flushed as it goes.
+// EOF ends the session.
 func (s *Server) serveDemoted(br *bufio.Reader, bw *bufio.Writer) {
 	dec := json.NewDecoder(io.LimitReader(br, 64<<20))
 	enc := json.NewEncoder(bw)
@@ -726,9 +343,16 @@ func (s *Server) serveDemoted(br *bufio.Reader, bw *bufio.Writer) {
 			}
 			break
 		}
-		resp, aerr := s.demotedServeOne(&req)
+		var resp *decideResponse
+		s.inflight.Add(1)
+		aerr := s.admit(time.Now())
+		if aerr == nil {
+			resp, aerr = s.serveJSON(&req, s.cfg.DefaultDeadline)
+			s.releaseSlot()
+		}
+		s.inflight.Done()
 		if aerr != nil {
-			enc.Encode(errorResponse{Error: aerr.msg, Code: aerr.code, RetryAfterMs: aerr.retryAfter.Milliseconds()})
+			enc.Encode(aerr.response())
 		} else {
 			enc.Encode(resp)
 		}
@@ -737,36 +361,6 @@ func (s *Server) serveDemoted(br *bufio.Reader, bw *bufio.Writer) {
 		}
 	}
 	bw.Flush()
-}
-
-// demotedServeOne is the admission envelope + serveOne for one demoted
-// JSON request (the stream twin of handleDecide's per-request section).
-func (s *Server) demotedServeOne(req *decideRequest) (*decideResponse, *apiError) {
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	if s.draining.Load() {
-		return nil, s.shed("draining", http.StatusServiceUnavailable, "server is draining", time.Second)
-	}
-	if !s.serving.Load() {
-		return nil, s.shed("standby", http.StatusServiceUnavailable, "standby; not serving until promoted", time.Second)
-	}
-	if s.primary != nil && s.primary.Deposed() {
-		return nil, s.shed("deposed", http.StatusServiceUnavailable, "deposed by promoted standby", time.Second)
-	}
-	if ok, retry := s.bucket.take(time.Now()); !ok {
-		return nil, s.shed("rate", http.StatusTooManyRequests, "request rate over limit", retry)
-	}
-	if !s.slots.tryAcquire() {
-		return nil, s.shed("capacity", http.StatusServiceUnavailable, "all decision slots busy", 100*time.Millisecond)
-	}
-	defer func() {
-		s.slots.release()
-		s.metrics.inflight.Set(float64(s.slots.inUse()))
-	}()
-	s.metrics.inflight.Set(float64(s.slots.inUse()))
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultDeadline)
-	defer cancel()
-	return s.serveOne(ctx, req)
 }
 
 // Session registry: Drain closes sessions after the final snapshots (their

@@ -682,3 +682,21 @@ func TestGroupCommitUnderServe(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeDeadlineCapped: a deadline past MaxDeadline is capped to it on
+// every transport — including one whose millisecond count overflows a
+// time.Duration, which must not wrap into an already-expired deadline.
+func TestHugeDeadlineCapped(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	obs := tenantStream("far", 0, 3)
+	if status, _, eresp, _ := postDecide(t, ts.URL, "far", toWire(obs[:1]), 1<<62); status != http.StatusOK {
+		t.Fatalf("JSON with X-Deadline-Ms 1<<62: status %d %+v", status, eresp)
+	}
+	c := dialStream(t, ts.URL)
+	for i, ms := range []uint64{1 << 62, 1<<64 - 1} {
+		resp, err := c.Do(uint64(i), ms, "far", "", obs[i+1:i+2])
+		if err != nil || resp.Err != nil {
+			t.Fatalf("frame with deadline %d ms: %v %v", ms, err, resp)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -101,28 +103,27 @@ type tenant struct {
 
 	// mu guards everything below. It is never held across policy code,
 	// store I/O, or channel waits — a wedged tenant must stay observable.
-	mu          sync.Mutex
-	core        *tenantCore
-	gen         int // generation the *next* core will get
-	brk         *breaker
-	degraded    string    // latched reason for journal-less serving; "" = persistent
-	busySince   time.Time // non-zero while a decision is in flight on core
-	recycles    int       // watchdog recycles, lifetime
-	served      int64     // decisions served across generations
-	lastDecided []int     // tail of the most recent batch, for /v1/tenants
-	dedup       *dedupWindow
+	mu        sync.Mutex
+	core      *tenantCore
+	gen       int // generation the *next* core will get
+	brk       *breaker
+	degraded  string    // latched reason for journal-less serving; "" = persistent
+	busySince time.Time // non-zero while a decision is in flight on core
+	recycles  int       // watchdog recycles, lifetime
+	served    int64     // decisions served across generations
+	dedup     *dedupWindow
 
 	// rebuild serializes core construction (store open + resume can be
-	// slow); waiters bail out on their request context.
+	// slow); waiters bail out at their group's deadline.
 	rebuild chan struct{}
 
-	// Streaming coalescer state: admitted frames queue on coalPending and
-	// a single flusher goroutine (alive while coalActive) drains them in
-	// merged DecideBatch groups, parking on coalWake when there is nothing
-	// to drain. Guarded by coalMu, never t.mu — enqueue must stay cheap and
-	// the flusher blocks on the decision slot.
+	// Coalescer state: validated requests of every transport queue on
+	// coalPending and a single flusher goroutine (alive while coalActive)
+	// drains them in merged DecideBatch groups, parking on coalWake when
+	// there is nothing to drain. Guarded by coalMu, never t.mu — enqueue
+	// must stay cheap and the flusher blocks on the decision slot.
 	coalMu      sync.Mutex
-	coalPending []*streamReq
+	coalPending []*request
 	coalActive  bool
 	coalWake    chan struct{} // cap 1: one pending wake-up covers any number of enqueues
 
@@ -228,7 +229,7 @@ func (s *Server) ensureCore(ctx context.Context, t *tenant) (*tenantCore, *apiEr
 	select {
 	case t.rebuild <- struct{}{}:
 	case <-ctx.Done():
-		return nil, s.deadline()
+		return nil, errDeadline
 	}
 	defer func() { <-t.rebuild }()
 	t.mu.Lock()
@@ -416,25 +417,6 @@ func (s *Server) boundedResume(t *tenant, rt *moe.Runtime, store *checkpoint.Sto
 	}
 }
 
-// commitBatch runs on the decide worker after a successful batch, before
-// the handler is released. For an identified request it journals the dedup
-// marker behind the batch's own entries and admits it to the in-memory
-// window; then the batch commits.
-func (s *Server) commitBatch(t *tenant, core *tenantCore, reqID string, res *decideResult) {
-	if res.panicked != "" || !t.serves(core) {
-		return
-	}
-	cerr := core.rt.CheckpointErr()
-	if reqID != "" {
-		cerr = s.markDedup(t, core, checkpoint.DedupEntry{
-			ID:        reqID,
-			Decisions: int(res.decisions),
-			Threads:   res.threads,
-		}, cerr)
-	}
-	s.commit(t, core, cerr, res)
-}
-
 // abandonLocked retires the serving generation: the next request builds a
 // fresh core, and the old core's worker exits once its batch (if any)
 // returns. Callers hold t.mu and have checked t.core != nil.
@@ -448,6 +430,258 @@ func (t *tenant) serves(core *tenantCore) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.core == core
+}
+
+// enqueue hands a validated request to its tenant's coalescer and wakes the
+// flusher, starting one if none is running. The flusher drains groups until
+// the pending queue is empty, then parks; requests that arrive while a
+// group is being decided merge into the next group.
+func (s *Server) enqueue(r *request) {
+	t := r.tenant
+	t.coalMu.Lock()
+	t.coalPending = append(t.coalPending, r)
+	spawn := !t.coalActive
+	t.coalActive = true
+	t.coalMu.Unlock()
+	if spawn {
+		go s.flusher(t)
+		return
+	}
+	select {
+	case t.coalWake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// flusher is the tenant's resident flusher. It exits only once the server
+// has stopped and the queue is empty; a later enqueue (a drain's in-flight
+// tail) starts a fresh one.
+func (s *Server) flusher(t *tenant) {
+	for {
+		t.coalMu.Lock()
+		group := t.coalPending
+		t.coalPending = nil
+		t.coalMu.Unlock()
+		if len(group) > 0 {
+			s.serveGroup(t, group)
+			continue
+		}
+		select {
+		case <-t.coalWake:
+			continue
+		case <-s.stop:
+		}
+		t.coalMu.Lock()
+		if len(t.coalPending) == 0 {
+			t.coalActive = false
+			t.coalMu.Unlock()
+			return
+		}
+		t.coalMu.Unlock()
+	}
+}
+
+// serveGroup serves one coalesced group on tenant t: breaker gate, core
+// acquisition, dedup pass, then one merged DecideBatch whose commit is
+// shared by every member. The batch runs on the generation's decide worker
+// so a wedged tenant wedges at most this group: the flusher gives up 50 ms
+// past the group's latest deadline — every member's waiter has answered
+// deadline-exceeded by then — and serves the next group, on this
+// generation if it recovers, on the rebuilt one otherwise; the watchdog
+// owns the stuck generation.
+func (s *Server) serveGroup(t *tenant, group []*request) {
+	t.mu.Lock()
+	ok, retry := t.brk.admit(time.Now())
+	t.setStateLocked()
+	t.mu.Unlock()
+	if !ok {
+		failGroup(group, s.shedN(len(group), "quarantined", http.StatusServiceUnavailable, "tenant quarantined after fault", retry))
+		return
+	}
+	latest := group[0].deadline
+	for _, r := range group[1:] {
+		if r.deadline.After(latest) {
+			latest = r.deadline
+		}
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), latest)
+	defer cancel()
+
+	var core *tenantCore
+	for attempt := 0; core == nil; attempt++ {
+		c, aerr := s.ensureCore(ctx, t)
+		if aerr != nil {
+			failGroup(group, aerr)
+			return
+		}
+		select {
+		case c.sem <- struct{}{}:
+		case <-ctx.Done():
+			failGroup(group, errDeadline)
+			return
+		}
+		// The generation may have been recycled while we waited on its
+		// slot; serving on it would resurrect an abandoned timeline.
+		t.mu.Lock()
+		if t.core == c {
+			core = c
+			t.busySince = time.Now()
+		}
+		t.mu.Unlock()
+		if core == nil {
+			<-c.sem
+			if attempt == 2 {
+				failGroup(group, s.shedN(len(group), "recycled", http.StatusServiceUnavailable, "tenant recycling", s.cfg.BreakerBackoff))
+				return
+			}
+		}
+	}
+
+	// Dedup pass under the tenant lock, holding the decision slot so no
+	// lookup races a twin's commit — whether the retry hits this process, a
+	// restarted one, or a promoted standby. Window hits are answered at
+	// once; an in-group duplicate of an executing ID is marked deduped and
+	// answered from the freshly committed window after the batch. The
+	// members still waiting are compacted into pending.
+	pending := group[:0]
+	var seen map[string]bool
+	total, exec := 0, 0
+	t.mu.Lock()
+	for _, r := range group {
+		if s.cfg.DedupWindow > 0 && r.reqID != "" {
+			if hit, ok := t.dedup.lookup(r.reqID); ok {
+				s.dedupHit(r, hit)
+				continue
+			}
+			if seen[r.reqID] {
+				r.deduped = true
+				pending = append(pending, r)
+				continue
+			}
+			if seen == nil {
+				seen = make(map[string]bool)
+			}
+			seen[r.reqID] = true
+		}
+		pending = append(pending, r)
+		total += len(r.obs)
+		exec++
+	}
+	if exec == 0 {
+		t.busySince = time.Time{}
+		t.mu.Unlock()
+		<-core.sem
+		return
+	}
+	t.mu.Unlock()
+	s.stream.coalesced.Observe(float64(exec))
+
+	done := make(chan struct{})
+	s.runOnWorker(core, func() {
+		defer close(done)
+		merged := make([]moe.Observation, 0, total)
+		for _, r := range pending {
+			if !r.deduped {
+				merged = append(merged, r.obs...)
+			}
+		}
+		var threads []int
+		var decisions int64
+		var panicked string
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					panicked, threads = fmt.Sprint(p), nil
+				}
+			}()
+			threads = core.rt.DecideBatch(merged)
+			decisions = int64(core.rt.Decisions())
+		}()
+		aerr := s.commitGroup(t, core, pending, threads, decisions, panicked)
+		s.finishDecide(t, core, threads, decisions, panicked)
+		s.fillGroup(t, pending, aerr)
+		<-core.sem
+	})
+	tm := time.NewTimer(time.Until(latest) + 50*time.Millisecond)
+	select {
+	case <-done:
+		tm.Stop()
+	case <-tm.C:
+	}
+}
+
+// dedupHit answers r from the idempotency window: the decisions originally
+// acked under its request ID.
+func (s *Server) dedupHit(r *request, hit checkpoint.DedupEntry) {
+	r.decisions, r.threads, r.deduped = int64(hit.Decisions), hit.Threads, true
+	s.metrics.dedupHits.Inc()
+	close(r.done)
+}
+
+// commitGroup is the one commit point, run on the decide worker once a
+// group's batch returned. Per-member decision counts and thread sub-slices
+// fall out of prefix sums over the merged result (DecideBatch answers one
+// decision per observation, in order); each identified member's dedup
+// marker is journaled behind the batch's entries, then the whole group
+// commits once — before any member's ack can leave. It returns the refusal
+// every member gets instead of an ack, if any.
+func (s *Server) commitGroup(t *tenant, core *tenantCore, group []*request, threads []int, decisions int64, panicked string) *apiError {
+	if panicked != "" {
+		return &apiError{status: http.StatusInternalServerError, code: "tenant-fault",
+			msg: "tenant decision faulted; tenant quarantined", retryAfter: s.jit.spread(s.cfg.BreakerBackoff)}
+	}
+	// A generation the watchdog abandoned under the batch journals nothing
+	// more: its run is superseded.
+	serving := t.serves(core)
+	cerr := core.rt.CheckpointErr()
+	off := 0
+	count := decisions - int64(len(threads))
+	for _, r := range group {
+		if r.deduped {
+			continue
+		}
+		n := len(r.obs)
+		r.threads = threads[off : off+n]
+		off += n
+		count += int64(n)
+		r.decisions = count
+		if serving && r.reqID != "" {
+			cerr = s.markDedup(t, core, checkpoint.DedupEntry{ID: r.reqID, Decisions: int(count), Threads: r.threads}, cerr)
+		}
+	}
+	if serving && s.commit(t, core, cerr) {
+		return s.shedN(len(group), "deposed", http.StatusServiceUnavailable,
+			"deposed by promoted standby; decision not acknowledged", time.Second)
+	}
+	return nil
+}
+
+// fillGroup answers every member still waiting once the group is settled:
+// the shared refusal, if any; else each executed member's own result, and
+// each in-group duplicate from the window its twin just committed.
+func (s *Server) fillGroup(t *tenant, group []*request, aerr *apiError) {
+	if aerr != nil {
+		failGroup(group, aerr)
+		return
+	}
+	for _, r := range group {
+		if !r.deduped {
+			close(r.done)
+			continue
+		}
+		t.mu.Lock()
+		hit, ok := t.dedup.lookup(r.reqID)
+		t.mu.Unlock()
+		if ok {
+			s.dedupHit(r, hit)
+		} else {
+			// The twin it deferred to committed, but the window has already
+			// evicted it (pathologically small window): refuse rather than
+			// decide twice under one ID.
+			r.fail(&apiError{status: http.StatusConflict, code: "dedup-evicted",
+				msg: "duplicate request id raced its twin out of the dedup window"})
+		}
+	}
 }
 
 // markDedup journals one identified request's dedup marker (unless the
@@ -468,21 +702,21 @@ func (s *Server) markDedup(t *tenant, core *tenantCore, entry checkpoint.DedupEn
 	return cerr
 }
 
-// commit is the commit point for exactly-once semantics, shared by the JSON
-// and stream paths: it runs on the decide worker once a batch and its
-// dedup markers are journaled, and returns only when both durable legs are
-// done, so no ack can leave before them.
+// commit makes a group's journaled entries durable: it returns only when
+// both durable legs are done, so no ack can leave before them, and reports
+// whether a promoted standby fenced the ship (deposed: the ack must be
+// withheld — it would fork acked history).
 //
 //   - The replica ship starts first and runs alongside the local commit. A
 //     failed ship is absorbed — semi-synchronous — and surfaces as replica
-//     lag, not a client error; a fenced ship (ErrDeposed) withholds the ack.
-//   - Store.Sync is the batch's one journal fsync, shared across tenants
+//     lag, not a client error.
+//   - Store.Sync is the group's one journal fsync, shared across tenants
 //     inside the group-commit window.
 //
 // A journal write or fsync failure (cerr) latches the tenant degraded:
 // acked decisions are never lost — they live in memory and in the shipped
 // stream — but the local journal has stopped.
-func (s *Server) commit(t *tenant, core *tenantCore, cerr error, res *decideResult) {
+func (s *Server) commit(t *tenant, core *tenantCore, cerr error) (deposed bool) {
 	var shipped chan error
 	if s.primary != nil {
 		shipped = make(chan error, 1)
@@ -496,9 +730,7 @@ func (s *Server) commit(t *tenant, core *tenantCore, cerr error, res *decideResu
 	}
 	if shipped != nil {
 		if err := <-shipped; err != nil {
-			if errors.Is(err, replica.ErrDeposed) {
-				res.deposed = true
-			}
+			deposed = errors.Is(err, replica.ErrDeposed)
 			s.logf("serve: tenant %s: replication flush: %v", t.id, err)
 		}
 	}
@@ -513,28 +745,28 @@ func (s *Server) commit(t *tenant, core *tenantCore, cerr error, res *decideResu
 			s.logf("serve: tenant %s: journal failed mid-batch, serving journal-less: %v", t.id, cerr)
 		}
 	}
+	return deposed
 }
 
 // finishDecide runs on the decide worker after the batch returned or
-// panicked — whether or not the requesting handler is still waiting (it
-// may have timed out long ago). It is the single place tenant health is
+// panicked — whether or not any member's waiter is still waiting (they may
+// have timed out long ago). It is the single place tenant health is
 // judged.
-func (s *Server) finishDecide(t *tenant, core *tenantCore, res *decideResult) {
+func (s *Server) finishDecide(t *tenant, core *tenantCore, threads []int, decisions int64, panicked string) {
 	t.mu.Lock()
 	current := t.core == core
 	if current {
 		t.busySince = time.Time{}
 	}
-	if res.panicked == "" {
+	if panicked == "" {
 		if current {
 			t.brk.succeed()
 			t.setStateLocked()
-			t.served = res.decisions
-			t.lastDecided = res.threads
+			t.served = decisions
 		}
 		t.mu.Unlock()
 		if current {
-			n := int64(len(res.threads))
+			n := int64(len(threads))
 			t.mDecisions.Add(n)
 			s.metrics.decisions.Add(n)
 		}
@@ -556,7 +788,7 @@ func (s *Server) finishDecide(t *tenant, core *tenantCore, res *decideResult) {
 	if current {
 		s.metrics.breakerTrips.Inc()
 		s.logf("serve: tenant %s: decision panic, quarantined %s (gen %d abandoned): %v",
-			t.id, quarantine, core.gen, res.panicked)
+			t.id, quarantine, core.gen, panicked)
 		if core.store != nil {
 			// Safe to close here: this goroutine was the generation's only
 			// store writer, and it is done writing.

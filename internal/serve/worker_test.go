@@ -291,3 +291,59 @@ func TestStreamWatchdogRecyclesWedgedTenant(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestStreamDeadlineCountedOnce: frames that miss their deadline behind a
+// wedged tenant — one stalled mid-batch, two queued behind it for the
+// decision slot, one expiring before the stalled frame and one after —
+// count exactly once each in serve_deadline_exceeded_total, however many
+// stages saw the deadline pass.
+func TestStreamDeadlineCountedOnce(t *testing.T) {
+	release := make(chan struct{})
+	var unstall sync.Once
+	srv, ts := newTestServer(t, Config{
+		PolicyBuild: func(id string) (moe.Policy, error) {
+			p, err := DefaultPolicyBuild(id)
+			if err != nil {
+				return nil, err
+			}
+			return StallAt(p, 5, release), nil
+		},
+	})
+	t.Cleanup(func() { unstall.Do(func() { close(release) }) })
+	c := dialStream(t, ts.URL)
+	const id = "wedger"
+	if resp, err := c.Do(1, 0, id, "", tenantStream(id, 0, 3)); err != nil || resp.Err != nil {
+		t.Fatalf("warm-up frame: %v %v", err, resp)
+	}
+	expired := func(resp *moeclient.Response, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if se, ok := resp.Err.(*moeclient.ServerError); !ok || se.Code != "deadline-exceeded" {
+			t.Fatalf("seq %d: %+v, want deadline-exceeded", resp.Seq, resp)
+		}
+	}
+	// Seq 2 stalls at the tenant's 5th decision.
+	expired(c.Do(2, 100, id, "", tenantStream(id, 3, 3)))
+	for _, f := range []struct{ seq, ms uint64 }{{3, 50}, {4, 400}} {
+		if err := c.Send(f.seq, f.ms, id, "", tenantStream(id, 6, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	expired(c.Recv())
+	expired(c.Recv())
+	// Unwedge the tenant and serve one more frame: the flusher serves it
+	// only after it has given up on the expired group, so every stage that
+	// saw those deadlines has run by the time it is answered.
+	unstall.Do(func() { close(release) })
+	if resp, err := c.Do(5, 2000, id, "", tenantStream(id, 6, 2)); err != nil || resp.Err != nil {
+		t.Fatalf("frame after the stall: %v %v", err, resp)
+	}
+	if v := srv.metrics.deadlineExceeded.Value(); v != 3 {
+		t.Fatalf("serve_deadline_exceeded_total = %d for 3 expired frames, want 3", v)
+	}
+}
