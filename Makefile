@@ -14,18 +14,18 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench regenerates the committed perf baselines: the engine comparison
-# (BENCH_PR5.json, min-of-3, two-point step-loop derivation) and the decision
-# throughput study (BENCH_PR6.json, single-shot Decide vs DecideBatch vs
-# sharded batch, interleaved-slice paired minima). Commit the results when
-# the engine or the decision hot path changes on purpose.
+# bench regenerates every figure the README cites, on the current host:
+# the sim stepping loop and end-to-end runs, the single-shot and batched
+# decide kernels, the four gated studies (serve, stream, replica, evolve;
+# each fails on its own correctness bound), and the repository benchmark's
+# three workloads.
 bench:
-	$(GO) run ./cmd/moebench -bench-json BENCH_PR5.json
-	$(GO) run ./cmd/moebench -throughput-json BENCH_PR6.json
-	$(GO) run ./cmd/moebench -serve-json BENCH_PR7.json
-	$(GO) run ./cmd/moebench -replica-json BENCH_PR8.json
-	$(GO) run ./cmd/moebench -evolve-json BENCH_PR9.json
-	$(GO) run ./cmd/moebench -stream-json BENCH_PR10.json
+	$(GO) test -run=NONE -bench 'StepLoop|Run(Fixed|Event)100s' -benchmem ./internal/sim
+	$(GO) test -run=NONE -bench 'DecideSteady|DecideBatchSteady' -benchmem .
+	$(GO) test ./cmd/moebench -run TestStudyGates -count=1 -v
+	bash perfbench/run.sh --workload wire-steady --seed 1 --seconds 25 --trace 0
+	bash perfbench/run.sh --workload json-durable --seed 1 --seconds 25 --trace 0
+	bash perfbench/run.sh --workload sim-eval --seed 1 --seconds 25 --trace 0
 
 # serve-smoke drives the real moed binary end to end: JSON + NDJSON
 # decisions, chaos-tenant quarantine with a healthy bystander, metrics
@@ -51,12 +51,12 @@ stream-smoke:
 
 # evolve-smoke exercises the full expert lifecycle (birth, probation,
 # admission, retirement, replay determinism, frozen-pool byte-identity)
-# plus the drifting-machine study itself, which hard-fails unless the
-# living pool beats the frozen pool on hmean speedup after drift.
+# plus the drifting-machine study's gate, which fails unless the living
+# pool beats the frozen pool on hmean speedup after drift.
 evolve-smoke:
 	$(GO) test ./internal/core/ -run 'TestEvolution|TestGoldenTrace|TestHealthiest|TestRestore' -count=1
 	$(GO) test . -run 'TestRuntimeRestartEvolvingPool|TestRuntimeResumePoolMismatchTyped' -count=1
-	$(GO) run ./cmd/moebench -evolve-json /tmp/evolve-smoke.json
+	$(GO) test ./cmd/moebench -run 'TestStudyGates/evolve' -count=1 -v
 
 # bench-smoke is the CI guard: cheap fixed-iteration runs of the sim
 # stepping-loop, single-shot and batch decision, and wire codec

@@ -1,10 +1,9 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"time"
@@ -17,11 +16,11 @@ import (
 // end to end. The same fixed workload — sequential per-tenant batches over
 // real HTTP — runs twice: once standalone, once as a primary shipping every
 // committed checkpoint artifact to a live standby (group flush before each
-// ack, the exactly-once commit path). The committed evidence
-// (BENCH_PR8.json) reports sustained decisions/sec for both, the overhead
-// ratio, the final replication lag (must be zero: every ack was shipped),
-// and a scripted failover: the standby is promoted and every tenant must
-// resume at exactly its acked decision count.
+// ack, the exactly-once commit path). It reports sustained decisions/sec
+// for both and the overhead ratio, and gates on the final replication lag
+// (zero: every ack was shipped) and a scripted failover: the standby is
+// promoted and every tenant must resume at exactly its acked decision
+// count.
 
 type replicaOpts struct {
 	Tenants int // concurrent tenants
@@ -34,27 +33,35 @@ func defaultReplicaOpts() replicaOpts {
 }
 
 type replicaReport struct {
-	Tenants     int `json:"tenants"`
-	Rounds      int `json:"rounds"`
-	Batch       int `json:"batch"`
-	DecisionsPT int `json:"decisions_per_tenant"`
+	Tenants int
 
-	SoloDecisionsPerSec       float64 `json:"solo_decisions_per_sec"`
-	ReplicatedDecisionsPerSec float64 `json:"replicated_decisions_per_sec"`
-	ReplicationOverhead       float64 `json:"replication_overhead_ratio"`
+	SoloDecisionsPerSec       float64
+	ReplicatedDecisionsPerSec float64
+	ReplicationOverhead       float64
 
 	// FinalLag is shipments buffered on the primary but never applied by
 	// the standby when the load stopped: 0 means every ack was preceded by
 	// a complete group flush.
-	FinalLag int64 `json:"final_replication_lag"`
+	FinalLag int64
 
 	// Failover proof: after promoting the standby, every tenant resumed at
 	// exactly its acked decision count.
-	PromotedTerm     uint64 `json:"promoted_term"`
-	FailoverVerified int    `json:"failover_verified_tenants"`
-	FailoverMismatch int    `json:"failover_mismatched_tenants"`
+	FailoverVerified int
+	FailoverMismatch int
 
-	Notes []string `json:"notes"`
+	Notes []string
+}
+
+// check is the study's gate: the pair never loses an acked decision.
+func (r *replicaReport) check() error {
+	var errs []error
+	if r.FinalLag != 0 {
+		errs = append(errs, fmt.Errorf("replication lag %d after load stopped: acked decisions not fully shipped", r.FinalLag))
+	}
+	if r.FailoverMismatch > 0 {
+		errs = append(errs, fmt.Errorf("failover mismatch on %d tenants", r.FailoverMismatch))
+	}
+	return errors.Join(errs...)
 }
 
 // driveReplicaLoad runs the fixed workload against base and returns the
@@ -69,7 +76,7 @@ func driveReplicaLoad(base string, opts replicaOpts) (time.Duration, error) {
 			id := fmt.Sprintf("acct-%03d", ti)
 			cl := &serveClient{base: base, client: &http.Client{Timeout: 30 * time.Second}}
 			for r := 0; r < opts.Rounds; r++ {
-				status, resp, err := cl.postID(id, tenantSeed(id), r*opts.Batch, opts.Batch,
+				status, resp, err := cl.post(id, r*opts.Batch, opts.Batch,
 					10000, fmt.Sprintf("req-%s-%d", id, r))
 				if err != nil || status != http.StatusOK {
 					errs <- fmt.Errorf("tenant %s round %d: status %d err %v", id, r, status, err)
@@ -91,61 +98,11 @@ func driveReplicaLoad(base string, opts replicaOpts) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-// postID is post with an idempotency key.
-func (c *serveClient) postID(tenant string, seed, from, n, deadlineMs int, reqID string) (int, *serveWireResp, error) {
-	obs := make([]map[string]any, n)
-	for i := range obs {
-		obs[i] = serveObservation(seed, from+i)
-	}
-	body, err := json.Marshal(map[string]any{"tenant": tenant, "observations": obs, "request_id": reqID})
-	if err != nil {
-		return 0, nil, err
-	}
-	req, err := http.NewRequest(http.MethodPost, c.base+"/v1/decide", bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if deadlineMs > 0 {
-		req.Header.Set("X-Deadline-Ms", fmt.Sprint(deadlineMs))
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	var out serveWireResp
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, &out, nil
-}
-
-func startReplicaServer(cfg serve.Config) (*serve.Server, *http.Server, string, error) {
-	srv, err := serve.NewServer(cfg)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return nil, nil, "", err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	return srv, httpSrv, "http://" + ln.Addr().String(), nil
-}
-
 func runReplica(opts replicaOpts) (*replicaReport, error) {
-	rep := &replicaReport{
-		Tenants:     opts.Tenants,
-		Rounds:      opts.Rounds,
-		Batch:       opts.Batch,
-		DecisionsPT: opts.Rounds * opts.Batch,
-	}
+	rep := &replicaReport{Tenants: opts.Tenants}
 	totalDecisions := float64(opts.Tenants * opts.Rounds * opts.Batch)
 	baseCfg := serve.Config{
-		MaxThreads:      throughputMaxThreads,
+		MaxThreads:      studyMaxThreads,
 		CheckpointEvery: 128,
 		MaxInflight:     opts.Tenants * 2,
 	}
@@ -158,13 +115,12 @@ func runReplica(opts replicaOpts) (*replicaReport, error) {
 	defer os.RemoveAll(soloRoot)
 	soloCfg := baseCfg
 	soloCfg.CheckpointRoot = soloRoot
-	soloSrv, soloHTTP, soloBase, err := startReplicaServer(soloCfg)
+	_, soloBase, soloStop, err := startServer(soloCfg)
 	if err != nil {
 		return nil, err
 	}
 	soloElapsed, err := driveReplicaLoad(soloBase, opts)
-	soloHTTP.Close()
-	soloSrv.Close()
+	soloStop()
 	if err != nil {
 		return nil, fmt.Errorf("solo leg: %w", err)
 	}
@@ -185,24 +141,22 @@ func runReplica(opts replicaOpts) (*replicaReport, error) {
 	sbCfg := baseCfg
 	sbCfg.Standby = true
 	sbCfg.CheckpointRoot = sbRoot
-	sbSrv, sbHTTP, sbBase, err := startReplicaServer(sbCfg)
+	_, sbBase, sbStop, err := startServer(sbCfg)
 	if err != nil {
 		return nil, err
 	}
-	defer sbHTTP.Close()
-	defer sbSrv.Close()
+	defer sbStop()
 
 	primCfg := baseCfg
 	primCfg.CheckpointRoot = primRoot
 	primCfg.ReplicateTo = sbBase
-	primSrv, primHTTP, primBase, err := startReplicaServer(primCfg)
+	primSrv, primBase, primStop, err := startServer(primCfg)
 	if err != nil {
 		return nil, err
 	}
 	replElapsed, err := driveReplicaLoad(primBase, opts)
 	if err != nil {
-		primHTTP.Close()
-		primSrv.Close()
+		primStop()
 		return nil, fmt.Errorf("replicated leg: %w", err)
 	}
 	rep.ReplicatedDecisionsPerSec = totalDecisions / replElapsed.Seconds()
@@ -213,8 +167,7 @@ func runReplica(opts replicaOpts) (*replicaReport, error) {
 
 	// Failover: hard-stop the primary, promote the standby, verify every
 	// tenant resumed at exactly its acked decision count.
-	primHTTP.Close()
-	primSrv.Close()
+	primStop()
 	resp, err := http.Post(sbBase+"/v1/promote", "application/json", nil)
 	if err != nil {
 		return nil, err
@@ -225,7 +178,6 @@ func runReplica(opts replicaOpts) (*replicaReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.PromotedTerm = prep.Term
 	want := int64(opts.Rounds * opts.Batch)
 	for _, pt := range prep.Tenants {
 		if pt.Err == "" && pt.Decisions == want {
@@ -240,11 +192,11 @@ func runReplica(opts replicaOpts) (*replicaReport, error) {
 		fmt.Sprintf("replication: group flush before every ack; %.0f vs %.0f decisions/s (%.2fx overhead), final lag %d",
 			rep.SoloDecisionsPerSec, rep.ReplicatedDecisionsPerSec, rep.ReplicationOverhead, rep.FinalLag),
 		fmt.Sprintf("failover: standby promoted at term %d with %d/%d tenants at their exact acked decision count",
-			rep.PromotedTerm, rep.FailoverVerified, opts.Tenants))
+			prep.Term, rep.FailoverVerified, opts.Tenants))
 	return rep, nil
 }
 
-func replicaTable(rep *replicaReport) *experiments.Table {
+func (rep *replicaReport) table() *experiments.Table {
 	t := &experiments.Table{
 		Title:   "Hot-standby replication — throughput cost and failover exactness",
 		Columns: []string{"value"},
@@ -258,33 +210,4 @@ func replicaTable(rep *replicaReport) *experiments.Table {
 	t.AddRow("failover tenants exact", float64(rep.FailoverVerified))
 	t.AddRow("failover mismatches", float64(rep.FailoverMismatch))
 	return t
-}
-
-// writeReplicaJSON runs the study and writes the committed artifact
-// (BENCH_PR8.json). A non-zero final lag or any failover mismatch is a
-// hard failure: the artifact must never certify a pair that can lose an
-// acked decision.
-func writeReplicaJSON(path string) error {
-	rep, err := runReplica(defaultReplicaOpts())
-	if err != nil {
-		return err
-	}
-	if rep.FinalLag != 0 {
-		return fmt.Errorf("replication lag %d after load stopped: acked decisions not fully shipped", rep.FinalLag)
-	}
-	if rep.FailoverMismatch > 0 {
-		return fmt.Errorf("failover mismatch on %d tenants", rep.FailoverMismatch)
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "moebench: replica %d tenants, %.0f solo vs %.0f replicated decisions/s (%.2fx), lag=%d, failover %d/%d exact at term %d, wrote %s\n",
-		rep.Tenants, rep.SoloDecisionsPerSec, rep.ReplicatedDecisionsPerSec, rep.ReplicationOverhead,
-		rep.FinalLag, rep.FailoverVerified, rep.Tenants, rep.PromotedTerm, path)
-	return nil
 }

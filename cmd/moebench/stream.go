@@ -1,11 +1,10 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -15,19 +14,19 @@ import (
 
 	"moe"
 	"moe/internal/experiments"
-	"moe/internal/features"
 	"moe/internal/serve"
 	"moe/moeclient"
 )
 
 // The stream study: the same fixed workload — eight tenants, each a strict
 // sequence of small decide batches — pushed through every transport the
-// daemon speaks, on otherwise identical servers. The committed evidence
-// (BENCH_PR10.json) reports decisions/sec per transport and the speedup of
-// the pipelined wire protocol over one-request-per-batch JSON, plus a separate durability phase measuring what journal
-// group commit buys when every append must be fsynced. Every arm's served
-// threads are replayed against solo runtimes; a mismatch is a hard failure,
-// because a transport that is fast but wrong certifies nothing.
+// daemon speaks, on otherwise identical servers. It reports decisions/sec
+// per transport and the speedup of the pipelined wire protocol over
+// one-request-per-batch JSON, plus a durability phase measuring what
+// journal group commit buys when every append must be fsynced. The gate:
+// every arm's served threads match solo runtimes (a transport that is fast
+// but wrong certifies nothing), wire holds the 5x bar, and every
+// group-commit arm resumes every tenant at its acked count.
 
 type streamOpts struct {
 	Tenants         int // concurrent tenant streams
@@ -52,90 +51,52 @@ func defaultStreamOpts() streamOpts {
 }
 
 type streamArm struct {
-	Transport       string  `json:"transport"`
-	Decisions       int64   `json:"decisions"`
-	ElapsedSec      float64 `json:"elapsed_sec"`
-	DecisionsPerSec float64 `json:"decisions_per_sec"`
-	SpeedupVsJSON   float64 `json:"speedup_vs_json"`
-	// Coalescing evidence (wire arms): served groups and mean frames merged
-	// per DecideBatch, from the serve_stream_coalesced_batch histogram.
-	CoalescedGroups int64   `json:"coalesced_groups,omitempty"`
-	MeanCoalesce    float64 `json:"mean_frames_per_group,omitempty"`
+	Transport       string
+	DecisionsPerSec float64
 }
 
 type streamGCArm struct {
-	WindowMs        float64 `json:"window_ms"`
-	Decisions       int64   `json:"decisions"`
-	ElapsedSec      float64 `json:"elapsed_sec"`
-	DecisionsPerSec float64 `json:"decisions_per_sec"`
+	WindowMs        float64
+	DecisionsPerSec float64
 	// Fsyncs is counted by the group committer: one per committed group
 	// with the window closed, shared across tenants with it open.
-	Fsyncs         int64 `json:"fsyncs"`
-	FsyncsSaved    int64 `json:"fsyncs_saved"`
-	ResumeVerified int   `json:"resume_verified_tenants"`
+	Fsyncs         int64
+	ResumeVerified int
 }
 
 type streamReport struct {
-	Tenants         int   `json:"tenants"`
-	Batch           int   `json:"batch"`
-	FramesPerTenant int   `json:"frames_per_tenant"`
-	DecisionsPerArm int64 `json:"decisions_per_arm"`
-
-	Arms []streamArm `json:"arms"`
-
-	SpeedupWireVsJSON float64 `json:"speedup_wire_vs_json"`
-
-	GoldenTenantsChecked int `json:"golden_tenants_checked"`
-	GoldenMismatches     int `json:"golden_mismatches"`
-
-	GroupCommit []streamGCArm `json:"group_commit"`
-
-	Notes []string `json:"notes"`
+	Tenants           int
+	Arms              []streamArm
+	SpeedupWireVsJSON float64
+	GoldenMismatches  int
+	GroupCommit       []streamGCArm
+	Notes             []string
 }
 
-// streamObsNative is soloServeThreads' stream in runtime form — the wire
-// arms encode observations directly instead of via JSON maps.
-func streamObsNative(seed, k int) moe.Observation {
-	var f moe.Features
-	for j := range f {
-		f[j] = 0.15*float64(j+1) + 0.02*float64((k*7+j*3+seed)%11)
+// check is the study's gate: every transport golden-exact, wire with
+// coalescing at least 5x the JSON baseline, and group commit never trading
+// away commit-before-ack.
+func (r *streamReport) check() error {
+	var errs []error
+	if r.GoldenMismatches > 0 {
+		errs = append(errs, fmt.Errorf("transport equivalence violated: %d golden mismatches", r.GoldenMismatches))
 	}
-	f[features.Processors] = throughputMaxThreads
-	return moe.Observation{
-		Time:           0.25 * float64(k),
-		Features:       f,
-		RegionStart:    k%4 == 0,
-		Rate:           100 + float64(seed%13),
-		AvailableProcs: throughputMaxThreads,
+	if r.SpeedupWireVsJSON < 5 {
+		errs = append(errs, fmt.Errorf("wire+coalescing speedup %.2fx below the 5x bar", r.SpeedupWireVsJSON))
 	}
+	for _, g := range r.GroupCommit {
+		if g.ResumeVerified != r.Tenants {
+			errs = append(errs, fmt.Errorf("group commit (window %.1fms): only %d/%d tenants resumed intact", g.WindowMs, g.ResumeVerified, r.Tenants))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 func streamTenantID(i int) string { return fmt.Sprintf("stream-%03d", i) }
 
-// startStreamServer brings up one in-process daemon for an arm and returns
-// its base URL plus a shutdown func.
-func startStreamServer(cfg serve.Config) (*serve.Server, string, func(), error) {
-	srv, err := serve.NewServer(cfg)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return nil, "", nil, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	stop := func() {
-		httpSrv.Close()
-		srv.Close()
-	}
-	return srv, "http://" + ln.Addr().String(), stop, nil
-}
-
 func streamServeConfig(opts streamOpts) serve.Config {
 	return serve.Config{
-		MaxThreads:      throughputMaxThreads,
+		MaxThreads:      studyMaxThreads,
 		MaxInflight:     opts.Tenants*opts.FramesPerTenant + 64,
 		DefaultDeadline: 20 * time.Second,
 		DrainWindow:     20 * time.Second,
@@ -175,6 +136,15 @@ func runArmWorkers(tenants int, work func(ti int) ([]int, error)) *armResult {
 	return res
 }
 
+// perSec is the arm's served decisions per wall second.
+func (r *armResult) perSec() float64 {
+	n := 0
+	for _, ths := range r.threads {
+		n += len(ths)
+	}
+	return float64(n) / r.elapsed.Seconds()
+}
+
 // runJSONArm is the baseline: one HTTP request per batch, keep-alive
 // connections, strictly sequential per tenant.
 func runJSONArm(base string, opts streamOpts) *armResult {
@@ -183,10 +153,9 @@ func runJSONArm(base string, opts streamOpts) *armResult {
 	return runArmWorkers(opts.Tenants, func(ti int) ([]int, error) {
 		id := streamTenantID(ti)
 		cl := &serveClient{base: base, client: &http.Client{Timeout: 30 * time.Second, Transport: transport}}
-		seed := tenantSeed(id)
 		var got []int
 		for f := 0; f < opts.FramesPerTenant; f++ {
-			status, resp, err := cl.post(id, seed, f*opts.Batch, opts.Batch, 20000)
+			status, resp, err := cl.post(id, f*opts.Batch, opts.Batch, 20000, "")
 			if err != nil {
 				return got, err
 			}
@@ -217,11 +186,8 @@ func runNDJSONArm(base string, opts streamOpts) *armResult {
 			var body bytes.Buffer
 			enc := json.NewEncoder(&body)
 			for l := 0; l < lines; l++ {
-				obs := make([]map[string]any, opts.Batch)
-				for i := range obs {
-					obs[i] = serveObservation(seed, (f+l)*opts.Batch+i)
-				}
-				if err := enc.Encode(map[string]any{"tenant": id, "observations": obs}); err != nil {
+				line := jsonRequest{Tenant: id, Observations: jsonBatch(seed, (f+l)*opts.Batch, opts.Batch)}
+				if err := enc.Encode(line); err != nil {
 					return got, err
 				}
 			}
@@ -260,7 +226,6 @@ func runNDJSONArm(base string, opts streamOpts) *armResult {
 func runWireArm(base string, opts streamOpts, frames int) *armResult {
 	return runArmWorkers(opts.Tenants, func(ti int) ([]int, error) {
 		id := streamTenantID(ti)
-		seed := tenantSeed(id)
 		c, err := moeclient.DialHTTP(base, 5*time.Second)
 		if err != nil {
 			return nil, err
@@ -293,50 +258,35 @@ func runWireArm(base string, opts streamOpts, frames int) *armResult {
 			done <- recvOut{got, nil}
 		}()
 
-		obs := make([]moe.Observation, opts.Batch)
-		for f := 0; f < frames; f++ {
-			for i := range obs {
-				obs[i] = streamObsNative(seed, f*opts.Batch+i)
-			}
-			if err := c.Send(uint64(f), 0, id, "", obs); err != nil {
-				return nil, fmt.Errorf("send frame %d: %v", f, err)
-			}
-			if (f+1)%opts.FlushEvery == 0 {
-				if err := c.Flush(); err != nil {
-					return nil, fmt.Errorf("flush at frame %d: %v", f, err)
-				}
-			}
-		}
-		if err := c.Flush(); err != nil {
-			return nil, fmt.Errorf("final flush: %v", err)
+		if err := sendFrames(c, id, 0, frames, opts); err != nil {
+			return nil, err
 		}
 		out := <-done
 		return out.threads, out.err
 	})
 }
 
-// coalesceStats reads the serve_stream_coalesced_batch histogram back out
-// of the Prometheus exposition: groups served and frames merged.
-func coalesceStats(srv *serve.Server) (groups int64, frames int64) {
-	var buf bytes.Buffer
-	if err := srv.Registry().WritePrometheus(&buf); err != nil {
-		return 0, 0
-	}
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		line := sc.Text()
-		if v, ok := strings.CutPrefix(line, "serve_stream_coalesced_batch_count "); ok {
-			if n, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
-				groups = int64(n)
-			}
+// sendFrames pipelines a tenant's stream as frames [0, frames) of
+// opts.Batch observations each, starting at observation base, flushing
+// every opts.FlushEvery frames and once at the end.
+func sendFrames(c *moeclient.Client, id string, base, frames int, opts streamOpts) error {
+	seed := tenantSeed(id)
+	obs := make([]moe.Observation, opts.Batch)
+	for f := 0; f < frames; f++ {
+		fillObservations(obs, seed, base+f*opts.Batch)
+		if err := c.Send(uint64(f), 0, id, "", obs); err != nil {
+			return fmt.Errorf("send frame %d: %v", f, err)
 		}
-		if v, ok := strings.CutPrefix(line, "serve_stream_coalesced_batch_sum "); ok {
-			if n, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
-				frames = int64(n)
+		if (f+1)%opts.FlushEvery == 0 {
+			if err := c.Flush(); err != nil {
+				return fmt.Errorf("flush at frame %d: %v", f, err)
 			}
 		}
 	}
-	return groups, frames
+	if err := c.Flush(); err != nil {
+		return fmt.Errorf("final flush: %v", err)
+	}
+	return nil
 }
 
 // runStreamGC is one durability arm: checkpoint-sync on, pipelined wire
@@ -355,20 +305,16 @@ func runStreamGC(opts streamOpts, window time.Duration) (*streamGCArm, []string,
 	cfg.GroupCommitWindow = window
 	cfg.CheckpointEvery = 1 << 20 // journal-only: isolate append fsyncs
 
-	srv, base, stop, err := startStreamServer(cfg)
+	srv, base, stop, err := startServer(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	res := runWireArm(base, opts, opts.GCFrames)
 	arm := &streamGCArm{
-		WindowMs:   float64(window) / float64(time.Millisecond),
-		ElapsedSec: res.elapsed.Seconds(),
+		WindowMs:        float64(window) / float64(time.Millisecond),
+		DecisionsPerSec: res.perSec(),
 	}
-	for _, ths := range res.threads {
-		arm.Decisions += int64(len(ths))
-	}
-	arm.DecisionsPerSec = float64(arm.Decisions) / res.elapsed.Seconds()
-	arm.Fsyncs, arm.FsyncsSaved = srv.GroupCommitStats()
+	arm.Fsyncs, _ = srv.GroupCommitStats()
 	notes := res.errs
 	if drep, err := srv.Drain(cfg.DrainWindow); err != nil || !drep.Clean() {
 		notes = append(notes, fmt.Sprintf("gc window %s: drain not clean (err=%v)", window, err))
@@ -377,7 +323,7 @@ func runStreamGC(opts streamOpts, window time.Duration) (*streamGCArm, []string,
 
 	// Cold restart on the drained lineage: one more frame per tenant must
 	// resume at exactly the acked count.
-	_, base2, stop2, err := startStreamServer(cfg)
+	_, base2, stop2, err := startServer(cfg)
 	if err != nil {
 		return arm, notes, err
 	}
@@ -389,12 +335,9 @@ func runStreamGC(opts streamOpts, window time.Duration) (*streamGCArm, []string,
 	defer c.Close()
 	for ti := 0; ti < opts.Tenants; ti++ {
 		id := streamTenantID(ti)
-		seed := tenantSeed(id)
 		n := opts.GCFrames * opts.Batch
 		obs := make([]moe.Observation, opts.Batch)
-		for i := range obs {
-			obs[i] = streamObsNative(seed, n+i)
-		}
+		fillObservations(obs, tenantSeed(id), n)
 		resp, err := c.Do(uint64(1000+ti), 0, id, "", obs)
 		if err != nil || resp.Err != nil {
 			notes = append(notes, fmt.Sprintf("gc window %s: tenant %s restart decide failed: %v/%v", window, id, err, resp))
@@ -411,12 +354,7 @@ func runStreamGC(opts streamOpts, window time.Duration) (*streamGCArm, []string,
 
 // runStream is the whole study.
 func runStream(opts streamOpts) (*streamReport, error) {
-	rep := &streamReport{
-		Tenants:         opts.Tenants,
-		Batch:           opts.Batch,
-		FramesPerTenant: opts.FramesPerTenant,
-		DecisionsPerArm: int64(opts.Tenants * opts.FramesPerTenant * opts.Batch),
-	}
+	rep := &streamReport{Tenants: opts.Tenants}
 
 	// Solo ground truth, shared by every arm's golden check.
 	want := make([][]int, opts.Tenants)
@@ -433,7 +371,6 @@ func runStream(opts streamOpts) (*streamReport, error) {
 			rep.GoldenMismatches++
 		}
 		for ti, got := range res.threads {
-			rep.GoldenTenantsChecked++
 			match := len(got) == len(want[ti])
 			for i := 0; match && i < len(got); i++ {
 				match = got[i] == want[ti][i]
@@ -446,47 +383,28 @@ func runStream(opts streamOpts) (*streamReport, error) {
 		}
 	}
 
-	type armRun struct {
-		transport   string
-		run         func(base string) *armResult
-		wantCoalesc bool
+	arms := []struct {
+		transport string
+		run       func(base string) *armResult
+	}{
+		{"json", func(base string) *armResult { return runJSONArm(base, opts) }},
+		{"ndjson", func(base string) *armResult { return runNDJSONArm(base, opts) }},
+		{"wire", func(base string) *armResult { return runWireArm(base, opts, opts.FramesPerTenant) }},
 	}
-	arms := []armRun{
-		{"json", func(base string) *armResult { return runJSONArm(base, opts) }, false},
-		{"ndjson", func(base string) *armResult { return runNDJSONArm(base, opts) }, false},
-		{"wire", func(base string) *armResult { return runWireArm(base, opts, opts.FramesPerTenant) }, true},
-	}
-	var jsonDPS float64
 	for _, a := range arms {
-		srv, base, stop, err := startStreamServer(streamServeConfig(opts))
+		_, base, stop, err := startServer(streamServeConfig(opts))
 		if err != nil {
 			return nil, err
 		}
 		res := a.run(base)
-		arm := streamArm{Transport: a.transport, ElapsedSec: res.elapsed.Seconds()}
-		for _, ths := range res.threads {
-			arm.Decisions += int64(len(ths))
-		}
-		arm.DecisionsPerSec = float64(arm.Decisions) / res.elapsed.Seconds()
-		if a.wantCoalesc {
-			groups, frames := coalesceStats(srv)
-			arm.CoalescedGroups = groups
-			if groups > 0 {
-				arm.MeanCoalesce = float64(frames) / float64(groups)
-			}
-		}
 		golden(a.transport, res)
 		stop()
-		if a.transport == "json" {
-			jsonDPS = arm.DecisionsPerSec
-		}
-		if jsonDPS > 0 {
-			arm.SpeedupVsJSON = arm.DecisionsPerSec / jsonDPS
-		}
-		rep.Arms = append(rep.Arms, arm)
-		if a.transport == "wire" {
-			rep.SpeedupWireVsJSON = arm.SpeedupVsJSON
-		}
+		rep.Arms = append(rep.Arms, streamArm{Transport: a.transport, DecisionsPerSec: res.perSec()})
+	}
+	// Arms ran in order json, ndjson, wire. A JSON arm that served nothing
+	// leaves the speedup at 0, below the bar.
+	if jsonRate := rep.Arms[0].DecisionsPerSec; jsonRate > 0 {
+		rep.SpeedupWireVsJSON = rep.Arms[2].DecisionsPerSec / jsonRate
 	}
 
 	// Durability phase: one fsync per committed group vs one shared across
@@ -507,7 +425,7 @@ func runStream(opts streamOpts) (*streamReport, error) {
 	return rep, nil
 }
 
-func streamTable(rep *streamReport) *experiments.Table {
+func (rep *streamReport) table() *experiments.Table {
 	t := &experiments.Table{
 		Title:   "Streaming wire protocol — decisions/sec by transport on an identical workload",
 		Columns: []string{"value"},
@@ -556,7 +474,6 @@ func driveStream(target string, tenants, decisions, base int) error {
 				mu.Unlock()
 			}
 			id := streamTenantID(ti)
-			seed := tenantSeed(id)
 			c, err := dial()
 			if err != nil {
 				fail("dial: %v", err)
@@ -584,24 +501,8 @@ func driveStream(target string, tenants, decisions, base int) error {
 				}
 				done <- nil
 			}()
-			obs := make([]moe.Observation, opts.Batch)
-			for f := 0; f < frames; f++ {
-				for i := range obs {
-					obs[i] = streamObsNative(seed, base+f*opts.Batch+i)
-				}
-				if err := c.Send(uint64(f), 0, id, "", obs); err != nil {
-					fail("send frame %d: %v", f, err)
-					return
-				}
-				if (f+1)%opts.FlushEvery == 0 {
-					if err := c.Flush(); err != nil {
-						fail("flush at frame %d: %v", f, err)
-						return
-					}
-				}
-			}
-			if err := c.Flush(); err != nil {
-				fail("final flush: %v", err)
+			if err := sendFrames(c, id, base, frames, opts); err != nil {
+				fail("%v", err)
 				return
 			}
 			if err := <-done; err != nil {
@@ -628,37 +529,5 @@ func driveStream(target string, tenants, decisions, base int) error {
 	if len(errs) > 0 {
 		return fmt.Errorf("%d tenant streams failed (first: %s)", len(errs), errs[0])
 	}
-	return nil
-}
-
-// writeStreamJSON runs the study and writes the committed artifact
-// (BENCH_PR10.json). The 5x bar and the golden replay are hard failures:
-// the artifact must never certify a transport that is slow or wrong.
-func writeStreamJSON(path string) error {
-	rep, err := runStream(defaultStreamOpts())
-	if err != nil {
-		return err
-	}
-	if rep.GoldenMismatches > 0 {
-		return fmt.Errorf("transport equivalence violated: %d golden mismatches", rep.GoldenMismatches)
-	}
-	if rep.SpeedupWireVsJSON < 5 {
-		return fmt.Errorf("wire+coalescing speedup %.2fx below the 5x bar", rep.SpeedupWireVsJSON)
-	}
-	for _, g := range rep.GroupCommit {
-		if g.ResumeVerified != rep.Tenants {
-			return fmt.Errorf("group commit (window %.1fms): only %d/%d tenants resumed intact", g.WindowMs, g.ResumeVerified, rep.Tenants)
-		}
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "moebench: stream %d tenants x %d frames x %d obs: wire %.1fx json (golden %d/0 mismatches), wrote %s\n",
-		rep.Tenants, rep.FramesPerTenant, rep.Batch, rep.SpeedupWireVsJSON, rep.GoldenTenantsChecked, path)
 	return nil
 }

@@ -49,8 +49,8 @@ type EvolveOptions struct {
 	Evolution evolve.Config
 }
 
-// DefaultEvolveOptions returns the committed-benchmark configuration
-// (BENCH_PR9.json).
+// DefaultEvolveOptions returns the configuration `moebench -experiment
+// evolve` runs and gates on.
 func DefaultEvolveOptions() EvolveOptions {
 	return EvolveOptions{
 		Targets:    []string{"lu", "cg", "mg"},
@@ -66,58 +66,41 @@ func DefaultEvolveOptions() EvolveOptions {
 
 // EvolveRow is one target's results, averaged over repeats.
 type EvolveRow struct {
-	Target string `json:"target"`
-
-	// Mean completion times (virtual seconds).
-	DefaultExec float64 `json:"default_exec_s"`
-	FrozenExec  float64 `json:"frozen_exec_s"`
-	LivingExec  float64 `json:"living_exec_s"`
+	Target string
 
 	// Speedups over the OpenMP default on the identical drifted scenario.
-	FrozenSpeedup float64 `json:"frozen_speedup"`
-	LivingSpeedup float64 `json:"living_speedup"`
+	FrozenSpeedup float64
+	LivingSpeedup float64
 
 	// Mean lifecycle activity of the living pool.
-	Births      float64 `json:"births"`
-	Retirements float64 `json:"retirements"`
-	FinalPool   float64 `json:"final_pool_size"`
+	Births      float64
+	Retirements float64
+	FinalPool   float64
 }
 
-// EvolveReport is the study's JSON artifact.
+// EvolveReport is the study's result.
 type EvolveReport struct {
-	Targets    []string `json:"targets"`
-	Workload   []string `json:"workload"`
-	Repeats    int      `json:"repeats"`
-	Seed       uint64   `json:"seed"`
-	MaxTime    float64  `json:"max_time_s"`
-	DriftAt    float64  `json:"drift_at_s"`
-	DriftCores int      `json:"drift_cores"`
-	Period     int      `json:"evolution_period"`
-
-	Rows []EvolveRow `json:"rows"`
+	Rows []EvolveRow
 
 	// Harmonic-mean speedups over the default across all targets.
-	HMeanFrozenSpeedup float64 `json:"hmean_frozen_speedup"`
-	HMeanLivingSpeedup float64 `json:"hmean_living_speedup"`
+	HMeanFrozenSpeedup float64
+	HMeanLivingSpeedup float64
 	// LivingAdvantage is living over frozen: > 1 means the living pool
 	// beat the frozen pool after the drift.
-	LivingAdvantage float64 `json:"living_advantage"`
+	LivingAdvantage float64
 
-	Notes []string `json:"notes"`
+	Notes []string
 }
 
 // RunEvolveStudy executes the study. Fully deterministic in o.
 func RunEvolveStudy(o EvolveOptions) (*EvolveReport, error) {
 	cfg := o.Evolution
 	cfg.Enabled = true
-	rep := &EvolveReport{
-		Targets: o.Targets, Workload: o.Workload, Repeats: o.Repeats,
-		Seed: o.Seed, MaxTime: o.MaxTime, DriftAt: o.DriftAt,
-		DriftCores: o.DriftCores, Period: cfg.WithDefaults(4).Period,
-	}
+	rep := &EvolveReport{}
 	var frozenSp, livingSp []float64
 	for _, target := range o.Targets {
 		row := EvolveRow{Target: target}
+		var defExecSum, frozenExecSum, livingExecSum float64
 		for r := 0; r < o.Repeats; r++ {
 			seed := o.Seed + uint64(r)*1000003
 			defExec, _, err := evolveRun(o, target, seed, policy.NewDefault())
@@ -140,22 +123,19 @@ func RunEvolveStudy(o EvolveOptions) (*EvolveReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			row.DefaultExec += defExec
-			row.FrozenExec += frozenExec
-			row.LivingExec += livingExec
+			defExecSum += defExec
+			frozenExecSum += frozenExec
+			livingExecSum += livingExec
 			row.Births += float64(livingStats.PoolBirths)
 			row.Retirements += float64(livingStats.PoolRetirements)
 			row.FinalPool += float64(len(livingStats.ExpertNames))
 		}
 		n := float64(o.Repeats)
-		row.DefaultExec /= n
-		row.FrozenExec /= n
-		row.LivingExec /= n
 		row.Births /= n
 		row.Retirements /= n
 		row.FinalPool /= n
-		row.FrozenSpeedup = row.DefaultExec / row.FrozenExec
-		row.LivingSpeedup = row.DefaultExec / row.LivingExec
+		row.FrozenSpeedup = (defExecSum / n) / (frozenExecSum / n)
+		row.LivingSpeedup = (defExecSum / n) / (livingExecSum / n)
 		frozenSp = append(frozenSp, row.FrozenSpeedup)
 		livingSp = append(livingSp, row.LivingSpeedup)
 		rep.Rows = append(rep.Rows, row)

@@ -431,15 +431,6 @@ func (r *Runtime) ThreadHistogram() map[int]float64 {
 	return out
 }
 
-// histCounts returns a copy of the published flat histogram bins and their
-// total, for merged views (ShardedRuntime.ThreadHistogram).
-func (r *Runtime) histCounts() ([]int64, int64) {
-	h := &r.histShard
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return append([]int64(nil), h.counts...), h.total
-}
-
 // MixtureStatsSnapshot returns the mixture analysis snapshot when the
 // wrapped policy is a mixture — directly or through any chain of wrappers
 // implementing Unwrap (a chaos injector, say); ok is false otherwise.

@@ -154,63 +154,6 @@ func TestDecideBatchWriterReaderTorture(t *testing.T) {
 	}
 }
 
-// TestShardedRuntimeConcurrent drives every shard from its own goroutines
-// and checks the merged accessors.
-func TestShardedRuntimeConcurrent(t *testing.T) {
-	const shards, workers, batches, size = 4, 8, 30, 16
-	srt, err := moe.NewShardedRuntime(shards, ckptMaxThreads, func(int) (moe.Policy, error) {
-		m, err := moe.NewMixture(moe.CanonicalExperts())
-		return m, err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srt.Shards() != shards {
-		t.Fatalf("shards = %d, want %d", srt.Shards(), shards)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(key uint64) {
-			defer wg.Done()
-			var dst []int
-			for i := 0; i < batches; i++ {
-				obs := make([]moe.Observation, size)
-				for j := range obs {
-					obs[j] = steadyObservation(i*size + j)
-				}
-				dst = srt.DecideBatchInto(key, dst[:0], obs)
-				srt.Decisions()
-				srt.ThreadHistogram()
-				srt.BatchStats()
-			}
-		}(uint64(w))
-	}
-	wg.Wait()
-	if got, want := srt.Decisions(), workers*batches*size; got != want {
-		t.Fatalf("merged decisions = %d, want %d", got, want)
-	}
-	bs := srt.BatchStats()
-	if bs.Batches != workers*batches || bs.FastDecisions+bs.FullDecisions != workers*batches*size {
-		t.Fatalf("merged batch stats %+v don't cover the run", bs)
-	}
-	sum := 0.0
-	for _, frac := range srt.ThreadHistogram() {
-		sum += frac
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("merged histogram fractions sum to %v", sum)
-	}
-	// Per-shard inspection works and sums to the merge.
-	perShard := 0
-	for i := 0; i < shards; i++ {
-		perShard += srt.Shard(i).Decisions()
-	}
-	if perShard != workers*batches*size {
-		t.Fatalf("per-shard decisions sum to %d", perShard)
-	}
-}
-
 // introspectingPolicy reads the runtime's shard-backed accessors from
 // INSIDE Decide — the pattern that deadlocked when accessors took the
 // decision lock. The rt field is set after construction (the runtime must
